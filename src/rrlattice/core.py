@@ -50,11 +50,23 @@ def project_H0(v) -> RationalPoint:
     return tuple(Fraction(x) - shift for x in v)
 
 
-def as_divisor(v) -> Divisor:
-    out = tuple(int(x) for x in v)
-    if len(out) < 2:
-        raise ValueError("divisor needs at least 2 coordinates")
-    return out
+def as_divisor(v, dim) -> Divisor:
+    """v as a divisor: a tuple of dim ints.
+
+    Raises ValueError for a wrong length or an entry that is not an
+    integer (2.0 and Fraction(4, 2) are accepted, 0.9 is not).
+    """
+    out = tuple(v)
+    if len(out) != dim:
+        raise ValueError(
+            "divisor %r has %d coordinates, expected %d" % (v, len(out), dim))
+    try:
+        ints = tuple(map(int, out))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != out:
+        raise ValueError("divisor %r has an entry that is not an integer" % (v,))
+    return ints
 
 
 @dataclass(frozen=True)
@@ -70,14 +82,6 @@ class LatticeBox:
 
     def is_empty(self) -> bool:
         return any(l > u for l, u in zip(self.lower, self.upper))
-
-
-def _exact_floor(x) -> int:
-    return math.floor(x)
-
-
-def _exact_ceil(x) -> int:
-    return math.ceil(x)
 
 
 def _hnf_rows(rows):
@@ -245,6 +249,10 @@ class LatticeBasis:
         self.pivot_cols = tuple(pivots)
         free = [c for c in range(width) if c not in pivots]
         self.free_col = free[0]
+        # A pivot in the last column would make the last HNF row
+        # (0, ..., 0, s), and its zero sum forces s = 0.  So the pivots are
+        # columns 0..n-1 and the free column is n.
+        assert self.free_col == self.n
         self._pivot_entries = tuple(self.hnf[i][pivots[i]] for i in range(self.n))
         self._caches = {}
 
@@ -318,7 +326,7 @@ class LatticeBasis:
         so two rational points are congruent mod L iff the results match.
         """
         c = self.coords(x)
-        frac = [ci - _exact_floor(ci) for ci in c]
+        frac = [ci - math.floor(ci) for ci in c]
         shift = self.from_coords(frac)
         return tuple(Fraction(t) for t in shift)
 
@@ -426,8 +434,8 @@ class LatticeBasis:
             clo, chi = lo[col], hi[col]
             if clo is None or chi is None:
                 raise ValueError("pivot coordinate bounds must be finite")
-            qlo = _exact_ceil(Fraction(clo - v0, piv))
-            qhi = _exact_floor(Fraction(chi - v0, piv))
+            qlo = math.ceil(Fraction(clo - v0, piv))
+            qhi = math.floor(Fraction(chi - v0, piv))
             for q in range(qlo, qhi + 1):
                 if q:
                     nxt = [a + q * b for a, b in zip(cur, row)]
@@ -452,20 +460,109 @@ class LatticeBasis:
             return v
         return None
 
-    def _babai_point(self, target):
-        """A lattice point near target (sequential rounding over HNF rows)."""
-        rem = [Fraction(t) for t in target]
+    def _babai_point(self, num, den):
+        """A lattice point near num/den (sequential rounding over HNF rows).
+
+        The target is given by integer numerators over one common
+        denominator, so the rounding stays in integer arithmetic.
+        """
+        rem = list(num)
         c = []
-        for i in range(self.n):
-            col = self.pivot_cols[i]
-            ci = rem[col] / self._pivot_entries[i]
-            q = _exact_floor(ci + Fraction(1, 2))
+        for i, row in enumerate(self.hnf):
+            step = den * self._pivot_entries[i]
+            q = (2 * rem[i] + step) // (2 * step)  # floor(rem_i/step + 1/2)
             c.append(q)
             if q:
-                row = self.hnf[i]
-                for j in range(self.dim):
-                    rem[j] -= q * row[j]
+                for j in range(i, self.dim):
+                    rem[j] -= q * den * row[j]
         return self.from_coords(c)
+
+    def _branch_and_bound(self, base, scale, cap, objective, node_budget):
+        """Lexicographically least minimiser over base + scale*L, value <= cap.
+
+        base is an integer vector.  objective is "l1" (the sum of |v_i|) or
+        "max" (the largest coordinate; base must then sum to zero).  Returns
+        (value, point), or None when no point of the coset has value <= cap.
+
+        Level i of the depth-first walk fixes coordinate i by adding
+        multiples of HNF row i; the pivots sit in columns 0..n-1, so the
+        later rows leave coordinates 0..i alone.  Each level walks its
+        admissible values upwards, so the leaves arrive in strictly
+        increasing lexicographic order.  The bound is the incumbent's value
+        and a branch is pruned only when it must exceed it, so ties survive;
+        a leaf replaces the incumbent only when strictly better, which keeps
+        the first, lexicographically least, leaf at the optimum.
+
+        The unfixed coordinates i..n must still sum to R.  Under l1 they
+        cost at least |R|, and coordinate i = v then needs
+        |v| + |R - v| = max(|R|, |2v - R|) <= bound - (norm so far).
+        Under max every unfixed coordinate is at most the bound, so
+        R - (n - i) * bound <= v <= bound.
+        """
+        n = self.n
+        l1 = objective == "l1"
+        pivs = [scale * row[i] for i, row in enumerate(self.hnf)]
+        tails = [tuple(scale * x for x in row[i + 1:n])
+                 for i, row in enumerate(self.hnf)]
+        # The walk keeps one frame per level i: rests[i] holds coordinates
+        # i..n-1 so far, accs[i] the l1 norm (or max) of coordinates 0..i-1,
+        # sums[i] what coordinates i..n must still sum to, and qs[i] the
+        # next multiple of row i to try (None on entering the level).
+        rests = [list(base[:n])] + [None] * (n - 1)
+        # the max of a zero-sum vector is >= 0, so 0 is a neutral start
+        accs = [0] * n
+        sums = [sum(base)] + [0] * (n - 1)
+        qs = [None] * n
+        path = [0] * n
+        bound = cap
+        found = None
+        nodes = 0
+        i = 0
+        while i >= 0:
+            rest = rests[i]
+            acc = accs[i]
+            R = sums[i]
+            if l1:
+                room = bound - acc
+                if room < abs(R):
+                    i -= 1
+                    continue
+                vlo = -((room - R) // 2)
+                vhi = (R + room) // 2
+            else:
+                if acc > bound:
+                    i -= 1
+                    continue
+                vlo = R - (n - i) * bound
+                vhi = bound
+            piv = pivs[i]
+            v0 = rest[0]
+            q = -((v0 - vlo) // piv)
+            if qs[i] is not None and qs[i] > q:
+                q = qs[i]
+            if q > (vhi - v0) // piv:
+                i -= 1
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(
+                    "%s search exceeded node budget" % objective)
+            v = v0 + q * piv
+            path[i] = v
+            qs[i] = q + 1
+            if i + 1 == n:
+                f = R - v
+                value = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
+                if found is None or value < found[0]:
+                    found = (value, tuple(path) + (f,))
+                    bound = value
+            else:
+                rests[i + 1] = [a + q * b for a, b in zip(rest[1:], tails[i])]
+                accs[i + 1] = acc + abs(v) if l1 else max(acc, v)
+                sums[i + 1] = R - v
+                qs[i + 1] = None
+                i += 1
+        return found
 
     def coset_min_max_coord(self, base, node_budget=2_000_000):
         """Minimise the max coordinate over base + L, exactly.
@@ -477,84 +574,31 @@ class LatticeBasis:
         base = tuple(Fraction(t) for t in base)
         if sum(base) != 0:
             raise ValueError("expected a zero-sum base point")
-        near = self._babai_point(base)
-        bound = max(a - b for a, b in zip(base, near))
-        # Any v = base + p with max(v) <= bound satisfies
-        #   -n*bound <= v_i <= bound
-        # (the lower bound because the coordinates sum to zero), and the
-        # incumbent base - near sits inside that box, so one sweep over the
-        # box finds the exact optimum and all ties.
-        lo = [-self.n * bound - b for b in base]
-        hi = [bound - b for b in base]
-        best = None
-        arg = None
-        for p in self.iter_coset_in_bounds(
-            tuple([0] * self.dim), lo, hi, node_budget
-        ):
-            v = tuple(a + b for a, b in zip(base, p))
-            val = max(v)
-            if best is None or val < best or (val == best and v < arg):
-                best, arg = val, v
-        return best, arg
+        # search den * (base + L) over the integers, divide once at the end
+        den = math.lcm(*(t.denominator for t in base))
+        num = tuple(t.numerator * (den // t.denominator) for t in base)
+        near = self._babai_point(num, den)
+        cap = max(a - den * b for a, b in zip(num, near))
+        val, point = self._branch_and_bound(num, den, cap, "max", node_budget)
+        return Fraction(val, den), tuple(Fraction(x, den) for x in point)
 
-    def coset_min_l1(self, base, node_budget=2_000_000):
+    def coset_min_l1(self, base, node_budget=2_000_000, cap=None):
         """Minimal l1 norm over the coset base + L, with an attaining vector.
 
         Branch and bound over the HNF rows.  The returned vector is the
-        lexicographically least one of minimal norm.
+        lexicographically least one of minimal norm.  With cap given, only
+        norms <= cap are searched, and None is returned when the coset has
+        no such vector.
         """
         base = tuple(int(t) for t in base)
-        near = self._babai_point(project_H0(base) if sum(base) else base)
-        # base may have nonzero degree; the lattice part has degree zero, so
-        # aim the rounding at the projection and keep the offset exact.
-        start = tuple(a - b for a, b in zip(base, near))
-        best = sum(abs(x) for x in start)
         total = sum(base)
-        n = self.n
-        piv_cols = self.pivot_cols
-        free = self.free_col
-        nodes = [0]
-
-        state = {"best": best, "arg": start}
-
-        def level(i, cur, abs_so_far, sum_so_far):
-            nodes[0] += 1
-            if nodes[0] > node_budget:
-                raise BudgetExceeded("l1 search exceeded node budget")
-            if i == n:
-                fval = total - sum_so_far
-                norm = abs_so_far + abs(fval)
-                if norm < state["best"]:
-                    out = list(cur)
-                    out[free] = fval
-                    state["best"] = norm
-                    state["arg"] = tuple(out)
-                elif norm == state["best"]:
-                    out = list(cur)
-                    out[free] = fval
-                    cand = tuple(out)
-                    if cand < state["arg"]:
-                        state["arg"] = cand
-                return
-            col = piv_cols[i]
-            piv = self._pivot_entries[i]
-            row = self.hnf[i]
-            v0 = cur[col]
-            room = state["best"] - abs_so_far
-            # |v0 + q*piv| <= room
-            qlo = _exact_ceil(Fraction(-room - v0, piv))
-            qhi = _exact_floor(Fraction(room - v0, piv))
-            for q in range(qlo, qhi + 1):
-                if q:
-                    nxt = [a + q * b for a, b in zip(cur, row)]
-                else:
-                    nxt = list(cur)
-                a = abs_so_far + abs(nxt[col])
-                if a <= state["best"]:
-                    level(i + 1, nxt, a, sum_so_far + nxt[col])
-
-        level(0, list(base), 0, 0)
-        return state["best"], state["arg"]
+        # base may have nonzero degree; the lattice part has degree zero, so
+        # aim the rounding at the projection onto the zero-sum hyperplane,
+        # (dim * base - total) / dim, and keep the offset exact.
+        near = self._babai_point([self.dim * a - total for a in base], self.dim)
+        start = sum(abs(a - b) for a, b in zip(base, near))
+        cap = start if cap is None else min(cap, start)
+        return self._branch_and_bound(base, 1, cap, "l1", node_budget)
 
 
 def lattice_contains(lattice: LatticeBasis, v) -> bool:

@@ -6,6 +6,7 @@ src/rrlattice beyond the input types.  Expected values frozen into the
 unit tests were produced by these routines.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -62,6 +63,35 @@ def coset_points_in_box(rows, base, lo, hi):
         if all(l <= x <= h for l, x, h in zip(lo, p, hi)):
             out.append(tuple(p))
     return sorted(set(out))
+
+
+def coset_points_in_box_pointwise(rows, base, lo, hi):
+    """All points of base + rowspan inside the box, by scanning the box.
+
+    base may be rational.  Every integer zero-sum p with base + p in the
+    box is tested for membership: p lies in the row span exactly when its
+    coefficients p[:n] * M^-1 are integers, M being the square block of
+    the first n columns of the rows.  The cost is the box volume, not a
+    coefficient range, so rank-4 lattices stay cheap.
+    """
+    n = len(rows)
+    M = sympy.Matrix([list(r[:n]) for r in rows])
+    det = int(M.det())
+    adj = [[int(x) for x in row] for row in M.adjugate().tolist()]
+    ranges = [range(math.ceil(Fraction(l) - Fraction(b)),
+                    math.floor(Fraction(h) - Fraction(b)) + 1)
+              for l, b, h in zip(lo, base, hi)]
+    out = []
+    for head in product(*ranges[:n]):
+        last = -sum(head)
+        if last not in ranges[n]:
+            continue
+        p = head + (last,)
+        if not all(sum(p[i] * adj[i][j] for i in range(n)) % det == 0
+                   for j in range(n)):
+            continue
+        out.append(tuple(Fraction(b) + x for b, x in zip(base, p)))
+    return sorted(out)
 
 
 def naive_effective_in_coset(rows, D, coeff_bound=10):

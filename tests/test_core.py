@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrlattice.core import (BudgetExceeded, LatticeBasis, LatticeBox,
                             deg_minus, deg_plus, degree,
@@ -154,3 +157,99 @@ def test_budget_exceeded():
 def test_lattice_contains_helper(k3_lattice):
     assert lattice_contains(k3_lattice, (2, -1, -1))
     assert not lattice_contains(k3_lattice, (1, -1, 0))
+
+
+# -- the branch-and-bound kernel against a box scan ----------------------------
+
+
+@st.composite
+def small_lattices(draw):
+    """A rank-2, 3 or 4 lattice of small index: an upper triangular body
+    with a positive diagonal, mixed by unimodular row operations."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    body = [[0] * n for _ in range(n)]
+    for i in range(n):
+        body[i][i] = draw(st.integers(1, 3 if n < 4 else 2))
+        for j in range(i + 1, n):
+            body[i][j] = draw(st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-1, 1))
+        body[a] = [x + c * y for x, y in zip(body[a], body[b])]
+    return LatticeBasis([tuple(r + [-sum(r)]) for r in body])
+
+
+@st.composite
+def lattice_and_base(draw, rational=False):
+    L = draw(small_lattices())
+    span = 3 if L.n < 4 else 2  # the scans cost (2 * value + 1) ** n
+    if not rational:
+        # any degree: the l1 objective does not need a zero-sum base
+        return L, tuple(draw(st.integers(-span, span)) for _ in range(L.dim))
+    body = [Fraction(draw(st.integers(-2 * span, 2 * span)),
+                     draw(st.integers(1, 4)))
+            for _ in range(L.n)]
+    return L, tuple(body + [-sum(body)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_base())
+def test_coset_min_l1_matches_box_scan(case):
+    L, base = case
+    val, arg = L.coset_min_l1(base)
+    # every vector of norm <= val lies in the box [-val, val]
+    pts = oracles.coset_points_in_box_pointwise(
+        L.rows, base, [-val] * L.dim, [val] * L.dim)
+    assert (val, arg) == min((sum(abs(x) for x in p), p) for p in pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_base(rational=True))
+def test_coset_min_max_coord_matches_box_scan(case):
+    L, base = case
+    val, arg = L.coset_min_max_coord(base)
+    # a zero-sum vector with max <= val has every coordinate >= -n * val
+    pts = oracles.coset_points_in_box_pointwise(
+        L.rows, base, [-L.n * val] * L.dim, [val] * L.dim)
+    assert (val, arg) == min((max(p), p) for p in pts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lattice_and_base(), st.integers(-2, 2))
+def test_coset_min_l1_cap(case, slack):
+    L, base = case
+    val, arg = L.coset_min_l1(base)
+    got = L.coset_min_l1(base, cap=val + slack)
+    assert got == (None if slack < 0 else (val, arg))
+
+
+@settings(max_examples=20, deadline=None)
+@given(lattice_and_base(), lattice_and_base(rational=True))
+def test_kernel_budget(case, rational_case):
+    # a leaf is n levels deep, so a budget of n - 1 nodes never suffices
+    L, base = case
+    with pytest.raises(BudgetExceeded):
+        L.coset_min_l1(base, node_budget=L.n - 1)
+    L, base = rational_case
+    with pytest.raises(BudgetExceeded):
+        L.coset_min_max_coord(base, node_budget=L.n - 1)
+
+
+def test_pointwise_scan_matches_coefficient_scan():
+    rng = random.Random(23)
+    for _ in range(6):
+        L = random_basis(rng, 3, span=4)
+        body = [rng.randint(-3, 3) for _ in range(2)]
+        base = tuple(body) + (rng.randint(-3, 3),)
+        lo, hi = (-5, -5, -5), (5, 5, 5)
+        assert oracles.coset_points_in_box_pointwise(L.rows, base, lo, hi) \
+            == oracles.coset_points_in_box(L.rows, base, lo, hi)
+
+
+def test_free_column_is_last():
+    rng = random.Random(29)
+    for dim in (2, 3, 4, 5):
+        for _ in range(10):
+            L = random_basis(rng, dim, span=3)
+            assert L.free_col == L.n
+            assert L.pivot_cols == tuple(range(L.n))

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrlattice.core import BudgetExceeded, LatticeBasis, degree
 from rrlattice.extremal import extremal_set_general, extremal_set_graphical
@@ -143,3 +146,84 @@ def test_default_samples_deterministic(m322_lattice, m322_extremal):
     c = default_divisor_samples(m322_lattice, m322_extremal, seed=6,
                                 random_count=60)
     assert a != c
+
+
+@pytest.mark.parametrize("D", [(0.9, 0.9, 0.9), (1, 1), (1, 1, 1, 1)])
+def test_divisors_are_validated(k3_lattice, k3_extremal, D):
+    # a non-integral entry used to be truncated, a short divisor to be
+    # cut down by zip or to raise IndexError
+    with pytest.raises(ValueError):
+        rank_bruteforce(k3_lattice, D)
+    with pytest.raises(ValueError):
+        rank_extremal(k3_lattice, D, k3_extremal)
+    with pytest.raises(ValueError):
+        linear_system_nonempty(k3_lattice, D)
+
+
+def test_integral_non_int_entries_are_accepted(k3_lattice, k3_extremal):
+    D = (2.0, Fraction(0), 0)
+    assert rank_bruteforce(k3_lattice, D).rank == 1
+    assert rank_extremal(k3_lattice, D, k3_extremal).rank == 1
+
+
+def test_effective_cache_lives_on_the_lattice(m322_lattice):
+    L = LatticeBasis(m322_lattice.rows)
+    assert linear_system_nonempty(L, (1, -1, 0)) == (False, None)
+    assert linear_system_nonempty(L, (4, 2, -3)) == (True, (2, 0, 1))
+    # a reduced divisor that is effective is its own witness, uncached
+    assert linear_system_nonempty(L, (5, 0, -2)) == (True, (0, 3, 0))
+    assert L._caches["effective"] == {(0, 6, -6): None, (0, 14, -11): (2, 0, 1)}
+
+
+def test_rank_extremal_within_node_budget():
+    # 10 extremal classes, genus 9; the per-class l1 search used to spend
+    # more than the default 2,000,000 nodes on this divisor
+    G = Multigraph(5, ((0, 3, 1, 0, 1), (3, 0, 0, 3, 1), (1, 0, 0, 2, 2),
+                       (0, 3, 2, 0, 0), (1, 1, 2, 0, 0)))
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    assert (ex.class_count, ex.g_max) == (10, 9)
+    D = (4, 4, 2, -3, 3)
+    r = rank_extremal(L, D, ex)
+    assert r.rank == 2 == rank_bruteforce(L, D, budget=40).rank
+
+
+NONUNIFORM = (
+    RegularDigraph(3, [[0, 3, 1], [1, 0, 3], [3, 1, 0]]),
+    RegularDigraph(4, [[0, 2, 1, 1], [1, 0, 1, 2], [2, 1, 0, 0],
+                       [1, 1, 1, 0]]),
+)
+
+
+def test_rank_extremal_frozen_nonuniform():
+    # (D, rank, witness) as the per-class searches without a shared bound
+    # computed them
+    frozen = (
+        [((5, 0, 1), 2, (0, 0, 3)), ((4, -4, 3), 0, (0, 0, 1)),
+         ((-1, -4, -2), -1, (0, 0, 0))],
+        [((5, 0, 1, 4), 5, (0, 0, 3, 3)), ((-1, 2, 4, -3), 0, (0, 0, 0, 1)),
+         ((-4, 3, -1, -4), -1, (0, 0, 0, 0))],
+    )
+    for G, cases in zip(NONUNIFORM, frozen):
+        L = laplacian_lattice(G)
+        ex = extremal_set_graphical(G)
+        for D, rank, witness in cases:
+            r = rank_extremal(L, D, ex)
+            assert (r.rank, r.witness) == (rank, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(NONUNIFORM))), st.data())
+def test_rank_extremal_matches_bruteforce_nonuniform(which, data):
+    # class degrees differ, so the bound shared between classes varies
+    G = NONUNIFORM[which]
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    assert not ex.uniform
+    D = tuple(data.draw(st.integers(-4, 6)) for _ in range(L.dim))
+    r = rank_extremal(L, D, ex)
+    assert r.rank == rank_bruteforce(L, D, budget=40).rank
+    E = r.witness
+    assert all(x >= 0 for x in E) and degree(E) == r.rank + 1
+    ok, _ = linear_system_nonempty(L, tuple(d - e for d, e in zip(D, E)))
+    assert not ok
