@@ -9,12 +9,9 @@ the primary worked family.  All arithmetic is exact (ints and Fractions).
 from .core import (
     BudgetExceeded,
     LatticeBasis,
-    LatticeBox,
     deg_minus,
     deg_plus,
     degree,
-    enumerate_lattice_points,
-    lattice_contains,
     picard_cardinality,
     project_H0,
 )
@@ -84,12 +81,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "LatticeBasis",
-    "LatticeBox",
     "deg_minus",
     "deg_plus",
     "degree",
-    "enumerate_lattice_points",
-    "lattice_contains",
     "picard_cardinality",
     "project_H0",
     "Multigraph",

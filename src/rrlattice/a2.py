@@ -10,6 +10,7 @@ rows of such a Laplacian.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
@@ -153,15 +154,10 @@ def digraph_of_basis(rows) -> RegularDigraph:
     return RegularDigraph.from_arcs(3, arcs)
 
 
-def _tree_edge_order(L: LatticeBasis, v) -> Optional[int]:
-    """Least t >= 1 with t*v in L, or None if no t up to the index works."""
-    pic = L.picard_cardinality()
-    step = [0, 0, 0]
-    for t in range(1, pic + 1):
-        step = [a + b for a, b in zip(step, v)]
-        if pic % t == 0 and L.contains(step):
-            return t
-    return None
+def _tree_edge_order(L: LatticeBasis, v) -> int:
+    """Least t >= 1 with t*v in L: the lcm of the denominators of v's
+    coordinates over the HNF rows."""
+    return math.lcm(*(c.denominator for c in L.coords(v)))
 
 
 def _multi_tree_data(L: LatticeBasis):
@@ -183,7 +179,7 @@ def _multi_tree_data(L: LatticeBasis):
         ej[j], ej[centre] = 1, -1
         a = _tree_edge_order(L, ei)
         b = _tree_edge_order(L, ej)
-        if a is not None and b is not None and a * b == pic:
+        if a * b == pic:
             return centre, {i: a, j: b}
     return None
 

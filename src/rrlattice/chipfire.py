@@ -12,10 +12,8 @@ contains an effective representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
-from .core import degree
+from .core import degree, solve_rational
 from .graphs import Multigraph, canonical_divisor, laplacian_lattice
 from .rank import linear_system_nonempty
 
@@ -64,23 +62,6 @@ def fire_script(cfg: Configuration, script) -> Configuration:
     return cfg
 
 
-def _solve_fraction_system(M, b):
-    """Solve M x = b exactly by Gaussian elimination; M square invertible."""
-    k = len(M)
-    A = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(b[i])]
-         for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(k):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][k] for i in range(k)]
-
-
 def _script_from_lattice_vector(G: Multigraph, delta):
     """Firing counts c with sum_i c_i * row_i(Q) = delta, min count zero.
 
@@ -93,7 +74,7 @@ def _script_from_lattice_vector(G: Multigraph, delta):
     rows = G.laplacian_rows()
     M = [[rows[j][i] for j in range(k - 1)] for i in range(k - 1)]
     b = [delta[i] for i in range(k - 1)]
-    sol = _solve_fraction_system(M, b)
+    sol = solve_rational(M, b)
     counts = []
     for x in sol:
         if x.denominator != 1:

@@ -29,7 +29,7 @@ from .core import BudgetExceeded, LatticeBasis, degree
 from .graphs import (Multigraph, canonical_divisor, graph_from_text,
                      laplacian_lattice)
 from .extremal import (canonical_point, classify, extremal_set_general,
-                       extremal_set_graphical)
+                       extremal_set_graphical, reflection_pairing)
 from .rank import rank_bruteforce, rank_extremal, verify_riemann_roch, \
     verify_weak_rr
 from .a2 import classify_a2, digraph_basis
@@ -104,10 +104,11 @@ def _lattice_and_extremal(args):
 def _cmd_rank(args):
     L, extremal, _, G = _lattice_and_extremal(args)
     D = _parse_int_vector(args.divisor, dim=L.dim)
-    flags = classify(extremal, L, node_budget=args.budget)
-    use_extremal = G is not None and isinstance(G, Multigraph)
     if G is None:
-        use_extremal = flags["uniform"] and flags["reflection_invariant"]
+        use_extremal = (extremal.uniform and
+                        reflection_pairing(extremal, L)[0] is not None)
+    else:
+        use_extremal = isinstance(G, Multigraph)
     brute = rank_bruteforce(L, D, budget=args.rank_budget,
                             node_budget=args.budget)
     payload = {"divisor": list(D), "degree": degree(D),
@@ -197,12 +198,11 @@ def _cmd_classify(args):
 
 def _cmd_verify_rr(args):
     L, extremal, K_graph, _ = _lattice_and_extremal(args)
-    flags = classify(extremal, L, node_budget=args.budget)
-    if not flags["reflection_invariant"]:
+    if reflection_pairing(extremal, L)[0] is None:
         raise ValueError("lattice is not reflection invariant; "
                          "no canonical point to verify against")
     K = K_graph if K_graph is not None else canonical_point(extremal, L)
-    if flags["uniform"]:
+    if extremal.uniform:
         report = verify_riemann_roch(L, extremal, K, seed=args.seed,
                                      method=args.method,
                                      budget=args.rank_budget,

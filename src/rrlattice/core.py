@@ -9,9 +9,8 @@ inside Z^(n+1)).  Divisors are plain tuples of ints of length n+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 
 class BudgetExceeded(RuntimeError):
@@ -67,21 +66,6 @@ def as_divisor(v, dim) -> Divisor:
     if ints != out:
         raise ValueError("divisor %r has an entry that is not an integer" % (v,))
     return ints
-
-
-@dataclass(frozen=True)
-class LatticeBox:
-    """An axis-aligned integer box, lower and upper bounds inclusive."""
-
-    lower: tuple
-    upper: tuple
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper):
-            raise ValueError("box bounds must have equal length")
-
-    def is_empty(self) -> bool:
-        return any(l > u for l, u in zip(self.lower, self.upper))
 
 
 def _hnf_rows(rows):
@@ -150,6 +134,29 @@ def _bareiss_det(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve_rational(M, b):
+    """Exact solution x of M x = b by Gauss-Jordan elimination.
+
+    M is square; entries may be ints or Fractions, and x is a list of
+    Fractions.  Raises ValueError when M is singular.
+    """
+    k = len(M)
+    A = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(b[i])]
+         for i in range(k)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        A[col], A[piv] = A[piv], A[col]
+        pv = A[col][col]
+        A[col] = [x / pv for x in A[col]]
+        for r in range(k):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [A[i][k] for i in range(k)]
 
 
 def smith_invariant_factors(mat):
@@ -601,29 +608,5 @@ class LatticeBasis:
         return self._branch_and_bound(base, 1, cap, "l1", node_budget)
 
 
-def lattice_contains(lattice: LatticeBasis, v) -> bool:
-    return lattice.contains(v)
-
-
 def picard_cardinality(lattice: LatticeBasis) -> int:
     return lattice.picard_cardinality()
-
-
-def enumerate_lattice_points(lattice: LatticeBasis, box: LatticeBox,
-                             node_budget=2_000_000):
-    """All lattice points inside an integer box, in a deterministic order.
-
-    Points are produced by the coset walk and returned sorted, so callers
-    see a stable order independent of internal search details.
-    """
-    if len(box.lower) != lattice.dim:
-        raise ValueError("box dimension mismatch")
-    if box.is_empty():
-        return []
-    pts = list(
-        lattice.iter_coset_in_bounds(
-            tuple([0] * lattice.dim), list(box.lower), list(box.upper), node_budget
-        )
-    )
-    pts.sort()
-    return pts

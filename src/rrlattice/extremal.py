@@ -47,22 +47,10 @@ class Permutation:
     def __repr__(self):
         return "Permutation(%r)" % (self.images,)
 
-    def opposite(self) -> "Permutation":
-        """Reverse all positions except the last, which must hold the
-        largest vertex (the textbook opposite-order convention)."""
-        n = len(self.images) - 1
-        if self.images[-1] != n:
-            raise ValueError("opposite() requires the largest vertex last")
-        return Permutation(tuple(reversed(self.images[:-1])) + (n,))
-
     def reversed_order(self) -> "Permutation":
         """Full positional reversal; the exact pairing partner for the
         degree-sum identity (see reflection_pairing)."""
         return Permutation(self.images[::-1])
-
-    def cyclic_shift(self, j: int = 1) -> "Permutation":
-        j %= len(self.images)
-        return Permutation(self.images[j:] + self.images[:j])
 
     @staticmethod
     def all_orders(k: int):

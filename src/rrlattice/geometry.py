@@ -75,16 +75,6 @@ def sigma_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
     return L.find_effective_in_coset(neg, node_budget) is None
 
 
-def sigma_closed_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
-    """True iff no lattice point strictly dominates D in every coordinate.
-
-    This is the closed variant of the region; over the integers strict
-    domination p > D is p >= D + 1, hence the shift below.
-    """
-    shifted = tuple(t + 1 for t in D)
-    return sigma_contains(L, shifted, node_budget)
-
-
 def _neighbor_offsets(dim):
     for off in itertools.product((-1, 0, 1), repeat=dim):
         if any(off):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BudgetExceeded, LatticeBasis
+from .core import BudgetExceeded, LatticeBasis, _bareiss_det, solve_rational
 
 __all__ = [
     "RationalSimplex",
@@ -42,25 +42,6 @@ def _as_fraction(x):
     raise ValueError("cannot interpret %r as a rational number" % (x,))
 
 
-def _solve_square(M, rhs):
-    """Exact solution of M x = rhs (Fractions, M invertible)."""
-    k = len(M)
-    A = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(rhs[i])]
-         for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(k):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][k] for i in range(k)]
-
-
 @dataclass
 class RationalSimplex:
     """A full-dimensional simplex in R^n given by n+1 rational vertices."""
@@ -78,11 +59,14 @@ class RationalSimplex:
             raise ValueError("need n+1 vertices of dimension n")
         if any(len(v) != dim for v in verts):
             raise ValueError("inconsistent vertex dimensions")
-        edges = [
-            [verts[i][j] - verts[0][j] for j in range(dim)]
-            for i in range(1, dim + 1)
-        ]
-        if _det(edges) == 0:
+        # edge rows scaled by the lcm of their denominators: an integer
+        # matrix whose determinant is zero exactly when the simplex's is
+        edges = []
+        for i in range(1, dim + 1):
+            row = [verts[i][j] - verts[0][j] for j in range(dim)]
+            den = math.lcm(*(x.denominator for x in row))
+            edges.append([int(x * den) for x in row])
+        if _bareiss_det(edges) == 0:
             raise ValueError("degenerate simplex: vertices affinely dependent")
         self.vertices = verts
 
@@ -108,7 +92,7 @@ class RationalSimplex:
         M = [[self.vertices[j][i] for j in range(k)] for i in range(self.dim)]
         M.append([Fraction(1)] * k)
         rhs = [_as_fraction(x) for x in point] + [Fraction(1)]
-        lam = _solve_square(M, rhs)
+        lam = solve_rational(M, rhs)
         return all(v >= 0 for v in lam)
 
     @classmethod
@@ -121,26 +105,6 @@ class RationalSimplex:
             "vertices": [[str(x) for x in v] for v in self.vertices],
             "dim": self.dim,
         }
-
-
-def _det(M):
-    k = len(M)
-    A = [[Fraction(M[i][j]) for j in range(k)] for i in range(k)]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, k):
-            if A[r][col] != 0:
-                f = A[r][col] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return det
 
 
 def reduce_simplex_to_membership(S: RationalSimplex):
@@ -169,7 +133,7 @@ def reduce_simplex_to_membership(S: RationalSimplex):
     Winv_cols = []
     for i in range(n):
         rhs = [Fraction(1) if r == i else Fraction(0) for r in range(n)]
-        Winv_cols.append(_solve_square(W, rhs))
+        Winv_cols.append(solve_rational(W, rhs))
     F_cols = []
     for i in range(n):
         y = Winv_cols[i]

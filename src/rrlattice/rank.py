@@ -180,19 +180,18 @@ class RankMethodMismatch(Exception):
         self.extremal = extremal
 
 
-def _rank_fn(method):
-    if method == "bruteforce":
-        return lambda L, D, extremal, budget, nb: rank_bruteforce(L, D, budget, nb)
+def _rank(method, L, D, extremal, budget, node_budget) -> int:
+    """Rank of D by the named method; "both" also checks that they agree."""
     if method == "extremal":
-        return lambda L, D, extremal, budget, nb: rank_extremal(L, D, extremal, nb)
+        return rank_extremal(L, D, extremal, node_budget).rank
+    if method == "bruteforce":
+        return rank_bruteforce(L, D, budget, node_budget).rank
     if method == "both":
-        def both(L, D, extremal, budget, nb):
-            a = rank_bruteforce(L, D, budget, nb)
-            b = rank_extremal(L, D, extremal, nb)
-            if a.rank != b.rank:
-                raise RankMethodMismatch(D, a.rank, b.rank)
-            return a
-        return both
+        a = rank_bruteforce(L, D, budget, node_budget).rank
+        b = rank_extremal(L, D, extremal, node_budget).rank
+        if a != b:
+            raise RankMethodMismatch(D, a, b)
+        return a
     raise ValueError("unknown rank method %r" % (method,))
 
 
@@ -237,15 +236,14 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
     K = as_divisor(K, L.dim)
     if D_samples is None:
         D_samples = default_divisor_samples(L, extremal, seed)
-    rank_of = _rank_fn(method)
     checked = 0
     violations = []
     for D in D_samples:
         D = as_divisor(D, L.dim)
         try:
-            rD = rank_of(L, D, extremal, budget, node_budget).rank
-            rKD = rank_of(L, tuple(k - x for k, x in zip(K, D)), extremal,
-                          budget, node_budget).rank
+            rD = _rank(method, L, D, extremal, budget, node_budget)
+            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
+                        extremal, budget, node_budget)
         except RankMethodMismatch as e:
             checked += 1
             violations.append({"D": list(D), "method_disagreement": str(e)})
@@ -269,11 +267,8 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
     }
 
 
-def _pairing_is_exact(extremal: ExtremalSet, L: LatticeBasis, K):
+def _pairing_is_exact(extremal: ExtremalSet, pairing, K):
     """True when every paired class has members summing exactly to -K."""
-    _, pairing = reflection_pairing(extremal, L)
-    if pairing is None:
-        return False
     target = tuple(-int(x) for x in K)
     for i, j in pairing.items():
         a_members = extremal.classes[i].members
@@ -308,16 +303,15 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
         D_samples = default_divisor_samples(L, extremal, seed)
     lower = 3 * g_min - 2 * g_max - 1
     upper = g_max - 1
-    exact = _pairing_is_exact(extremal, L, K)
-    rank_of = _rank_fn(method)
+    exact = _pairing_is_exact(extremal, pairing, K)
     checked = 0
     violations = []
     for D in D_samples:
         D = as_divisor(D, L.dim)
         try:
-            rD = rank_of(L, D, extremal, budget, node_budget).rank
-            rKD = rank_of(L, tuple(k - x for k, x in zip(K, D)), extremal,
-                          budget, node_budget).rank
+            rD = _rank(method, L, D, extremal, budget, node_budget)
+            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
+                        extremal, budget, node_budget)
         except RankMethodMismatch as e:
             checked += 1
             violations.append({"D": list(D), "method_disagreement": str(e)})

@@ -28,6 +28,17 @@ def lattice_member(rows, v):
     return all(x.is_integer for x in sol)
 
 
+def element_order_scan(rows, v):
+    """Least t >= 1 with t*v in the row span, by trying t = 1, 2, ... up
+    to the index; None if none works.  The rows are zero-sum, so the index
+    is |det| of the rows without their last column."""
+    index = abs(int(sympy.Matrix([list(r[:-1]) for r in rows]).det()))
+    for t in range(1, index + 1):
+        if index % t == 0 and lattice_member(rows, [t * x for x in v]):
+            return t
+    return None
+
+
 def sympy_hnf(rows):
     M = sympy.Matrix([list(r) for r in rows])
     H = hermite_normal_form(M.T)

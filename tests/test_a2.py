@@ -3,12 +3,14 @@ import random
 import pytest
 
 from rrlattice.core import LatticeBasis, degree
-from rrlattice.a2 import (classify_a2, digraph_basis, digraph_of_basis,
-                          extend_family, is_multi_tree_lattice,
-                          random_a2_lattice)
+from rrlattice.a2 import (_tree_edge_order, classify_a2, digraph_basis,
+                          digraph_of_basis, extend_family,
+                          is_multi_tree_lattice, random_a2_lattice)
 from rrlattice.extremal import (canonical_point, classify,
                                 extremal_set_general, extremal_set_graphical)
 from rrlattice.rank import rank_bruteforce, verify_riemann_roch
+
+import oracles
 
 
 def test_digraph_basis_skew56(skew56_lattice):
@@ -43,6 +45,30 @@ def test_multi_tree_detection(multitree_lattice, skew56_lattice, k3_lattice):
     assert not is_multi_tree_lattice(k3_lattice)
     # relabeled variant: centre at a different coordinate
     assert is_multi_tree_lattice(LatticeBasis([(2, -2, 0), (0, -3, 3)]))
+
+
+def test_multi_tree_detection_large_index():
+    # index 10,000,003: the test must not scan multiples up to the index
+    assert not is_multi_tree_lattice(
+        LatticeBasis([(1, 10**7, -10**7 - 1), (-1, 3, -2)]))
+    assert is_multi_tree_lattice(
+        LatticeBasis([(4000, 0, -4000), (0, 4000, -4000)]))
+
+
+def test_tree_edge_order_matches_scan():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 30:
+        L = random_a2_lattice(rng, span=5)
+        if L.picard_cardinality() > 40:
+            continue
+        checked += 1
+        vs = [(1, -1, 0), (1, 0, -1), (0, 1, -1), (0, -1, 1)]
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        vs.append((a, b, -a - b))
+        for v in vs:
+            assert _tree_edge_order(L, v) == \
+                oracles.element_order_scan(L.rows, v)
 
 
 def test_multi_tree_gets_tree_basis(multitree_lattice):

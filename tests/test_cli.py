@@ -17,12 +17,18 @@ def files(tmp_path):
     lat.write_text("3\n7 -7 0\n-3 11 -8\n")
     mt = tmp_path / "mt.txt"
     mt.write_text("3\n3 0 -3\n0 2 -2\n")
+    # index 11, not reflection invariant
+    nri = tmp_path / "nri.txt"
+    nri.write_text("4\n2 0 1 -3\n1 2 1 -4\n2 -1 -2 1\n")
+    # reflection invariant, not uniform (g_min 3, g_max 4)
+    rinu = tmp_path / "rinu.txt"
+    rinu.write_text("4\n-2 2 2 -2\n2 0 1 -3\n-2 1 -2 3\n")
     simplex = tmp_path / "simplex.json"
     simplex.write_text(json.dumps([["1/2", "1/2"], ["3/4", "1/2"],
                                    ["1/2", "3/4"]]))
     return {"k3": str(k3), "m322": str(m322), "lat": str(lat),
-            "mt": str(mt), "simplex": str(simplex),
-            "tmp": tmp_path}
+            "mt": str(mt), "nri": str(nri), "rinu": str(rinu),
+            "simplex": str(simplex), "tmp": tmp_path}
 
 
 def run(capsys, *argv):
@@ -37,6 +43,45 @@ def test_rank_example(files, capsys):
     assert code == 0
     assert "r(D) = 0" in out
     assert "methods agree" in out
+
+
+def test_rank_lattice_example(files, capsys):
+    code, out = run(capsys, "rank", "--lattice", files["lat"],
+                    "--divisor", "0 0 0")
+    assert code == 0
+    assert out == ("r(D) = 0  (degree 0)\n"
+                   "bruteforce witness: (0, 0, 1)\n"
+                   "extremal rank: 0\n"
+                   "methods agree\n")
+
+
+def test_rank_lattice_without_extremal_formula(files, capsys):
+    # the formula needs a uniform, reflection invariant lattice
+    code, out = run(capsys, "rank", "--lattice", files["nri"],
+                    "--divisor", "3 -1 2 1")
+    assert code == 0
+    assert out == "r(D) = 2  (degree 5)\nbruteforce witness: (0, 0, 2, 1)\n"
+    code, out = run(capsys, "rank", "--lattice", files["rinu"],
+                    "--divisor", "3 -1 2 1")
+    assert code == 0
+    assert out == "r(D) = 1  (degree 5)\nbruteforce witness: (0, 0, 2, 0)\n"
+
+
+def test_verify_rr_not_reflection_invariant(files, capsys):
+    code = main(["verify-rr", "--lattice", files["nri"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not reflection invariant" in captured.err
+
+
+def test_verify_rr_weak_lattice(files, capsys):
+    code, out = run(capsys, "verify-rr", "--lattice", files["rinu"])
+    assert code == 0
+    assert out == ("checked 120 divisors\n"
+                   "g_min = 3, g_max = 4\n"
+                   "K = (-2, 0, -5, 12)\n"
+                   "ok: True\n")
 
 
 def test_verify_rr_example(files, capsys):

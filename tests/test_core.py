@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrlattice.core import (BudgetExceeded, LatticeBasis, LatticeBox,
-                            deg_minus, deg_plus, degree,
-                            enumerate_lattice_points, lattice_contains,
-                            picard_cardinality, project_H0)
+import rrlattice
+from rrlattice.core import (BudgetExceeded, LatticeBasis, deg_minus, deg_plus,
+                            degree, picard_cardinality, project_H0,
+                            solve_rational)
 
 import oracles
 
@@ -137,16 +137,6 @@ def test_coset_minimisers_match_scans():
         assert sum(abs(x) for x in a1) == v1
 
 
-def test_enumerate_lattice_points_sorted(k3_lattice):
-    box = LatticeBox((-3, -3, -3), (3, 3, 3))
-    pts = enumerate_lattice_points(k3_lattice, box)
-    assert pts == sorted(pts)
-    assert (0, 0, 0) in pts
-    assert all(k3_lattice.contains(p) for p in pts)
-    assert pts == oracles.coset_points_in_box(
-        k3_lattice.rows, (0, 0, 0), box.lower, box.upper)
-
-
 def test_budget_exceeded():
     L = LatticeBasis([(7, -7, 0), (-3, 11, -8)])
     with pytest.raises(BudgetExceeded):
@@ -154,9 +144,27 @@ def test_budget_exceeded():
                                     node_budget=5))
 
 
-def test_lattice_contains_helper(k3_lattice):
-    assert lattice_contains(k3_lattice, (2, -1, -1))
-    assert not lattice_contains(k3_lattice, (1, -1, 0))
+def test_solve_rational_exact():
+    M = [[2, 1, 0], [1, 3, 1], [0, 1, Fraction(1, 2)]]
+    b = [1, 0, Fraction(-2, 3)]
+    x = solve_rational(M, b)
+    assert all(type(t) is Fraction for t in x)
+    assert [sum(m * t for m, t in zip(row, x)) for row in M] == b
+    assert solve_rational([[0, 2], [3, 0]], [4, 9]) == [3, 2]  # needs a swap
+
+
+def test_solve_rational_singular():
+    with pytest.raises(ValueError):
+        solve_rational([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(ValueError):
+        solve_rational([[0, 0], [0, 1]], [0, 1])
+
+
+def test_package_exports_resolve():
+    names = rrlattice.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(rrlattice, name) is not None, name
 
 
 # -- the branch-and-bound kernel against a box scan ----------------------------

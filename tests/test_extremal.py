@@ -17,7 +17,6 @@ import oracles
 def test_permutation_type():
     pi = Permutation((1, 0, 2))
     assert pi.reversed_order() == Permutation((2, 0, 1))
-    assert pi.cyclic_shift() == Permutation((0, 2, 1))
     assert len(list(Permutation.all_orders(3))) == 6
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))

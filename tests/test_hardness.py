@@ -18,6 +18,9 @@ def test_simplex_validation():
         RationalSimplex(((0, 0), (1, 0)))              # too few vertices
     with pytest.raises(ValueError):
         RationalSimplex(((0, 0), (1, 0), (2, 0)))      # degenerate
+    with pytest.raises(ValueError):                    # degenerate,
+        RationalSimplex(((F("1/2"), F("1/3")), (1, F("2/3")),
+                         (F("3/2"), 1)))               # rational edges
     S = RationalSimplex(((0, 0), (1, 0), (0, 1)))
     assert S.dim == 2
     assert S.centroid() == (F("1/3"), F("1/3"))
