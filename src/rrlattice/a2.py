@@ -20,9 +20,6 @@ from .extremal import (ExtremalClass, ExtremalSet, _resolve_q_rows, classify,
 from .geometry import is_extremal
 from .graphs import RegularDigraph
 
-_MAX_NORMALIZATION_STEPS = 100_000
-
-
 def _cone_index(v) -> Optional[int]:
     """Index i with v in C_i = {g_i >= 0, g_j <= 0 for j != i}, or None.
 
@@ -110,24 +107,32 @@ def digraph_basis(L: LatticeBasis):
     if a is None or b is None or a == b:
         raise RuntimeError("cone normalisation failed for %r, %r" % (b0, b1))
     c = 3 - a - b
-    for _ in range(_MAX_NORMALIZATION_STEPS):
-        s = tuple(x + y for x, y in zip(b0, b1))
-        neg_s = tuple(-x for x in s)
-        if _cone_index(neg_s) == c:
-            break
-        k = _cone_index(s)
-        if k == a:
-            b0 = s
-        elif k == b:
-            b1 = s
-        else:
-            raise RuntimeError("b0+b1 escaped the three admissible cones")
-    else:
-        raise RuntimeError("cone normalisation did not terminate")
+    b0, b1 = _absorb(b0, b1, a, b)
     out = [None, None, None]
-    out[a], out[b], out[c] = b0, b1, neg_s
+    out[a], out[b], out[c] = b0, b1, tuple(-x - y for x, y in zip(b0, b1))
     _certify_digraph_basis(L, out)
     return tuple(out)
+
+
+def _absorb(b0, b1, a, b):
+    """Absorb b0 + b1 into b0 or b1 until -(b0 + b1) lies in the third cone.
+
+    b0 lies in C_a and b1 in C_b.  For a zero-sum v, C_i holds the vectors
+    with v_i >= 0 and every other coordinate <= 0.  The third coordinate
+    c of s = b0 + b1 is <= 0, so -s lies in C_c once s_a, s_b >= 0.  While
+    s_b < 0, s lies in C_a and replaces b0; that repeats until
+    b0_b + (k + 1) * b1_b >= 0, so k copies of b1 go to b0 at once.  Each
+    round lowers b0_a or b1_b or ends the loop, so it terminates.
+    """
+    while True:
+        if b0[b] + b1[b] < 0:
+            k = -(b0[b] // b1[b]) - 1
+            b0 = tuple(x + k * y for x, y in zip(b0, b1))
+        elif b0[a] + b1[a] < 0:
+            k = -(b1[a] // b0[a]) - 1
+            b1 = tuple(x + k * y for x, y in zip(b1, b0))
+        else:
+            return b0, b1
 
 
 def _certify_digraph_basis(L: LatticeBasis, rows) -> None:

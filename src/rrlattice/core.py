@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 
@@ -397,10 +398,14 @@ class LatticeBasis:
 
     # -- coset searches ---------------------------------------------------------
     #
-    # The searches below all walk integer combinations c of the HNF rows
-    # added to a base vector.  Because the HNF is in row echelon form the
-    # value at pivot column i depends only on c_0..c_i, which makes exact
-    # per-level interval pruning possible.
+    # Every coset search runs on one walk, _branch_and_bound, over integer
+    # combinations c of the HNF rows added to an integer base vector.
+    # Because the HNF is in row echelon form the value at pivot column i
+    # depends only on c_0..c_i, so each level walks one interval of
+    # multiples of row i.  The objective sets the intervals: "box" takes
+    # them from fixed per-coordinate bounds (iter_coset_in_bounds and
+    # find_effective_in_coset), "l1" and "max" from the incumbent's value
+    # (coset_min_l1 and coset_min_max_coord).
 
     def iter_coset_in_bounds(self, base, lower, upper, node_budget=2_000_000):
         """All vectors base + (integer combo of rows) inside given bounds.
@@ -408,52 +413,21 @@ class LatticeBasis:
         lower/upper are per-coordinate inclusive bounds (ints, Fractions or
         None for unbounded).  Bounds at pivot columns prune the walk level
         by level; the remaining free coordinate is fixed by the total sum.
+        The vectors come in increasing lexicographic order.
         """
-        dim = self.dim
-        n = self.n
-        base = tuple(base)
-        total = sum(base)
-        piv_cols = self.pivot_cols
-        free = self.free_col
-        lo = list(lower)
-        hi = list(upper)
-        nodes = [0]
-
-        def level(i, cur, pivot_sum):
-            nodes[0] += 1
-            if nodes[0] > node_budget:
-                raise BudgetExceeded("coset enumeration exceeded node budget")
-            if i == n:
-                fval = total - pivot_sum
-                flo, fhi = lo[free], hi[free]
-                if flo is not None and fval < flo:
-                    return
-                if fhi is not None and fval > fhi:
-                    return
-                out = list(cur)
-                out[free] = fval
-                yield tuple(out)
-                return
-            col = piv_cols[i]
-            piv = self._pivot_entries[i]
-            row = self.hnf[i]
-            v0 = cur[col]
-            clo, chi = lo[col], hi[col]
-            if clo is None or chi is None:
-                raise ValueError("pivot coordinate bounds must be finite")
-            qlo = math.ceil(Fraction(clo - v0, piv))
-            qhi = math.floor(Fraction(chi - v0, piv))
-            for q in range(qlo, qhi + 1):
-                if q:
-                    nxt = [a + q * b for a, b in zip(cur, row)]
-                else:
-                    nxt = list(cur)
-                yield from level(i + 1, nxt, pivot_sum + nxt[col])
-
-        yield from level(0, list(base), 0)
+        # walk den * (base + L) over the integers, divide once per vector
+        den = math.lcm(*(t.denominator for t in base))
+        num = tuple(int(t * den) for t in base)
+        lo = [None if t is None else math.ceil(t * den) for t in lower]
+        hi = [None if t is None else math.floor(t * den) for t in upper]
+        if None in lo[:self.n] or None in hi[:self.n]:
+            raise ValueError("pivot coordinate bounds must be finite")
+        for v in self._branch_and_bound(num, den, (lo, hi), "box",
+                                        node_budget):
+            yield v if den == 1 else tuple(Fraction(x, den) for x in v)
 
     def find_effective_in_coset(self, base, node_budget=2_000_000):
-        """Some vector >= 0 congruent to base, or None.
+        """The lexicographically least vector >= 0 congruent to base, or None.
 
         The search space is the simplex {v >= 0, sum v = deg(base)}, so a
         negative degree returns None immediately.
@@ -463,9 +437,8 @@ class LatticeBasis:
             return None
         lo = [0] * self.dim
         hi = [total] * self.dim
-        for v in self.iter_coset_in_bounds(base, lo, hi, node_budget):
-            return v
-        return None
+        return next(self.iter_coset_in_bounds(base, lo, hi, node_budget),
+                    None)
 
     def _babai_point(self, num, den):
         """A lattice point near num/den (sequential rounding over HNF rows).
@@ -485,29 +458,35 @@ class LatticeBasis:
         return self.from_coords(c)
 
     def _branch_and_bound(self, base, scale, cap, objective, node_budget):
-        """Lexicographically least minimiser over base + scale*L, value <= cap.
+        """The points of base + scale*L that the objective admits, as leaves.
 
-        base is an integer vector.  objective is "l1" (the sum of |v_i|) or
-        "max" (the largest coordinate; base must then sum to zero).  Returns
-        (value, point), or None when no point of the coset has value <= cap.
+        base is an integer vector.  Level i of the depth-first walk fixes
+        coordinate i by adding multiples of HNF row i; the pivots sit in
+        columns 0..n-1, so the later rows leave coordinates 0..i alone.
+        Each level walks its admissible values upwards, so the leaves
+        arrive in strictly increasing lexicographic order.
 
-        Level i of the depth-first walk fixes coordinate i by adding
-        multiples of HNF row i; the pivots sit in columns 0..n-1, so the
-        later rows leave coordinates 0..i alone.  Each level walks its
-        admissible values upwards, so the leaves arrive in strictly
-        increasing lexicographic order.  The bound is the incumbent's value
-        and a branch is pruned only when it must exceed it, so ties survive;
-        a leaf replaces the incumbent only when strictly better, which keeps
-        the first, lexicographically least, leaf at the optimum.
+        "box": cap is a pair (lower, upper) of per-coordinate integer
+        bound lists; the last (free) coordinate is checked at the leaf and
+        its bounds may be None.  Yields every point inside the box.
 
-        The unfixed coordinates i..n must still sum to R.  Under l1 they
-        cost at least |R|, and coordinate i = v then needs
-        |v| + |R - v| = max(|R|, |2v - R|) <= bound - (norm so far).
-        Under max every unfixed coordinate is at most the bound, so
-        R - (n - i) * bound <= v <= bound.
+        "l1" (the sum of |v_i|) and "max" (the largest coordinate; base
+        must then sum to zero): yields (value, point) for points of value
+        <= bound, where the bound starts at cap and drops to the value of
+        each leaf.  A branch is pruned only when it must exceed the bound,
+        so ties survive, and the first leaf at the least value is the
+        lexicographically least minimiser.  The unfixed coordinates i..n
+        must still sum to R.  Under l1 they cost at least |R|, and
+        coordinate i = v then needs |v| + |R - v| = max(|R|, |2v - R|) <=
+        bound - (norm so far).  Under max every unfixed coordinate is at
+        most the bound, so R - (n - i) * bound <= v <= bound.
         """
         n = self.n
         l1 = objective == "l1"
+        box = objective == "box"
+        if box:
+            los, his = cap
+            flo, fhi = los[n], his[n]
         pivs = [scale * row[i] for i, row in enumerate(self.hnf)]
         tails = [tuple(scale * x for x in row[i + 1:n])
                  for i, row in enumerate(self.hnf)]
@@ -522,7 +501,6 @@ class LatticeBasis:
         qs = [None] * n
         path = [0] * n
         bound = cap
-        found = None
         nodes = 0
         i = 0
         while i >= 0:
@@ -536,6 +514,9 @@ class LatticeBasis:
                     continue
                 vlo = -((room - R) // 2)
                 vhi = (R + room) // 2
+            elif box:
+                vlo = los[i]
+                vhi = his[i]
             else:
                 if acc > bound:
                     i -= 1
@@ -552,24 +533,25 @@ class LatticeBasis:
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded(
-                    "%s search exceeded node budget" % objective)
+                raise BudgetExceeded("%s exceeded node budget" % (
+                    "coset enumeration" if box else objective + " search"))
             v = v0 + q * piv
             path[i] = v
             qs[i] = q + 1
             if i + 1 == n:
                 f = R - v
-                value = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
-                if found is None or value < found[0]:
-                    found = (value, tuple(path) + (f,))
-                    bound = value
+                if box:
+                    if (flo is None or f >= flo) and (fhi is None or f <= fhi):
+                        yield tuple(path) + (f,)
+                else:
+                    bound = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
+                    yield bound, tuple(path) + (f,)
             else:
                 rests[i + 1] = [a + q * b for a, b in zip(rest[1:], tails[i])]
                 accs[i + 1] = acc + abs(v) if l1 else max(acc, v)
                 sums[i + 1] = R - v
                 qs[i + 1] = None
                 i += 1
-        return found
 
     def coset_min_max_coord(self, base, node_budget=2_000_000):
         """Minimise the max coordinate over base + L, exactly.
@@ -586,7 +568,9 @@ class LatticeBasis:
         num = tuple(t.numerator * (den // t.denominator) for t in base)
         near = self._babai_point(num, den)
         cap = max(a - den * b for a, b in zip(num, near))
-        val, point = self._branch_and_bound(num, den, cap, "max", node_budget)
+        # min keeps the first least leaf: the lexicographically least point
+        leaves = self._branch_and_bound(num, den, cap, "max", node_budget)
+        val, point = min(leaves, key=itemgetter(0))
         return Fraction(val, den), tuple(Fraction(x, den) for x in point)
 
     def coset_min_l1(self, base, node_budget=2_000_000, cap=None):
@@ -605,7 +589,8 @@ class LatticeBasis:
         near = self._babai_point([self.dim * a - total for a in base], self.dim)
         start = sum(abs(a - b) for a, b in zip(base, near))
         cap = start if cap is None else min(cap, start)
-        return self._branch_and_bound(base, 1, cap, "l1", node_budget)
+        leaves = self._branch_and_bound(base, 1, cap, "l1", node_budget)
+        return min(leaves, key=itemgetter(0), default=None)
 
 
 def picard_cardinality(lattice: LatticeBasis) -> int:

@@ -163,14 +163,13 @@ def _group_into_classes(L: LatticeBasis, vectors):
     return tuple(classes)
 
 
-def extremal_set_graphical(G, verify: Optional[bool] = None,
-                           node_budget=2_000_000) -> ExtremalSet:
+def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     """Extremal classes of a Laplacian lattice via order enumeration.
 
     For undirected multigraphs every order vector (plus all-ones) is
-    extremal; for regular digraphs some may fail and are filtered out,
-    which still yields the complete class list because every critical
-    point arises from some order.
+    extremal, and each class is checked to be; for regular digraphs some
+    may fail and are filtered out, which still yields the complete class
+    list because every critical point arises from some order.
     """
     Q = G.laplacian_rows()
     L = laplacian_lattice(G)
@@ -188,15 +187,12 @@ def extremal_set_graphical(G, verify: Optional[bool] = None,
         )
         source = "digraph"
     else:
-        if verify is None:
-            verify = True
-        if verify:
-            for c in classes:
-                if not is_extremal(L, c.representative, node_budget):
-                    raise RuntimeError(
-                        "order enumeration produced a non-extremal class "
-                        "representative %r" % (c.representative,)
-                    )
+        for c in classes:
+            if not is_extremal(L, c.representative, node_budget):
+                raise RuntimeError(
+                    "order enumeration produced a non-extremal class "
+                    "representative %r" % (c.representative,)
+                )
         source = "graphical"
     if not classes:
         raise RuntimeError("no extremal classes found; lattice input invalid?")

@@ -118,11 +118,10 @@ def _nearest_lattice_points(L: LatticeBasis, c, radius, node_budget):
     lo = [t - radius for t in c]
     total_lo = sum(lo)
     hi = [l - total_lo for l in lo]
-    pts = list(
+    # the walk yields its points in increasing lexicographic order
+    return list(
         L.iter_coset_in_bounds(tuple([0] * L.dim), lo, hi, node_budget)
     )
-    pts.sort()
-    return pts
 
 
 def verify_critical(L: LatticeBasis, c, node_budget=2_000_000):

@@ -218,6 +218,34 @@ def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
     return samples
 
 
+def _check_samples(L, extremal, K, D_samples, seed, method, budget,
+                   node_budget, violation):
+    """Run violation(D, rank(D), rank(K - D)) over the sample divisors.
+
+    D_samples defaults to default_divisor_samples.  violation returns a
+    report dict or None.  Returns (checked, violations); a sample on which
+    the two rank methods disagree is a violation as well.
+    """
+    if D_samples is None:
+        D_samples = default_divisor_samples(L, extremal, seed)
+    checked = 0
+    violations = []
+    for D in D_samples:
+        D = as_divisor(D, L.dim)
+        checked += 1
+        try:
+            rD = _rank(method, L, D, extremal, budget, node_budget)
+            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
+                        extremal, budget, node_budget)
+        except RankMethodMismatch as e:
+            violations.append({"D": list(D), "method_disagreement": str(e)})
+            continue
+        bad = violation(D, rD, rKD)
+        if bad is not None:
+            violations.append(bad)
+    return checked, violations
+
+
 def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
                         D_samples=None, seed=0, method="extremal",
                         budget=24, node_budget=2_000_000):
@@ -234,29 +262,20 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
         raise ValueError("Riemann-Roch equality requires reflection invariance")
     g = extremal.g_min
     K = as_divisor(K, L.dim)
-    if D_samples is None:
-        D_samples = default_divisor_samples(L, extremal, seed)
-    checked = 0
-    violations = []
-    for D in D_samples:
-        D = as_divisor(D, L.dim)
-        try:
-            rD = _rank(method, L, D, extremal, budget, node_budget)
-            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
-                        extremal, budget, node_budget)
-        except RankMethodMismatch as e:
-            checked += 1
-            violations.append({"D": list(D), "method_disagreement": str(e)})
-            continue
-        checked += 1
+
+    def violation(D, rD, rKD):
         if rD - rKD != degree(D) - g + 1:
-            violations.append({
+            return {
                 "D": list(D),
                 "rank_D": rD,
                 "rank_K_minus_D": rKD,
                 "lhs": rD - rKD,
                 "rhs": degree(D) - g + 1,
-            })
+            }
+
+    checked, violations = _check_samples(L, extremal, K, D_samples, seed,
+                                         method, budget, node_budget,
+                                         violation)
     return {
         "checked": checked,
         "genus": g,
@@ -299,29 +318,16 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
         raise ValueError("weak Riemann-Roch requires reflection invariance")
     g_min, g_max = extremal.g_min, extremal.g_max
     K = as_divisor(K, L.dim)
-    if D_samples is None:
-        D_samples = default_divisor_samples(L, extremal, seed)
     lower = 3 * g_min - 2 * g_max - 1
     upper = g_max - 1
     exact = _pairing_is_exact(extremal, pairing, K)
-    checked = 0
-    violations = []
-    for D in D_samples:
-        D = as_divisor(D, L.dim)
-        try:
-            rD = _rank(method, L, D, extremal, budget, node_budget)
-            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
-                        extremal, budget, node_budget)
-        except RankMethodMismatch as e:
-            checked += 1
-            violations.append({"D": list(D), "method_disagreement": str(e)})
-            continue
+
+    def violation(D, rD, rKD):
         mid = rKD - rD + degree(D)
-        checked += 1
         bad = not (lower <= mid <= upper)
         bad_sharp = exact and not (rKD - rD >= g_min - degree(D) - 1)
         if bad or bad_sharp:
-            violations.append({
+            return {
                 "D": list(D),
                 "rank_D": rD,
                 "rank_K_minus_D": rKD,
@@ -329,7 +335,11 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
                 "lower": lower,
                 "upper": upper,
                 "sharp_lower_applies": exact,
-            })
+            }
+
+    checked, violations = _check_samples(L, extremal, K, D_samples, seed,
+                                         method, budget, node_budget,
+                                         violation)
     return {
         "checked": checked,
         "g_min": g_min,

@@ -39,6 +39,30 @@ def element_order_scan(rows, v):
     return None
 
 
+def absorb_one_step(b0, b1, a, b, max_steps=100_000):
+    """Cone normalisation one vector addition at a time.
+
+    b0 lies in cone C_a and b1 in C_b, where C_i holds the zero-sum
+    vectors with coordinate i >= 0 and the other two <= 0.  Replace b0 or
+    b1 by s = b0 + b1, whichever cone s falls in, until -s lies in the
+    third cone.  The step count grows with the ratio of the two lengths.
+    """
+    def in_cone(v, i):
+        return v[i] >= 0 and all(v[j] <= 0 for j in range(3) if j != i)
+
+    for _ in range(max_steps):
+        s = tuple(x + y for x, y in zip(b0, b1))
+        if in_cone(tuple(-x for x in s), 3 - a - b):
+            return b0, b1
+        if in_cone(s, a):
+            b0 = s
+        elif in_cone(s, b):
+            b1 = s
+        else:
+            raise RuntimeError("b0+b1 escaped the three admissible cones")
+    raise RuntimeError("cone normalisation did not terminate")
+
+
 def sympy_hnf(rows):
     M = sympy.Matrix([list(r) for r in rows])
     H = hermite_normal_form(M.T)

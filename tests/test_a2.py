@@ -3,8 +3,8 @@ import random
 import pytest
 
 from rrlattice.core import LatticeBasis, degree
-from rrlattice.a2 import (_tree_edge_order, classify_a2, digraph_basis,
-                          digraph_of_basis, extend_family,
+from rrlattice.a2 import (_absorb, _tree_edge_order, classify_a2,
+                          digraph_basis, digraph_of_basis, extend_family,
                           is_multi_tree_lattice, random_a2_lattice)
 from rrlattice.extremal import (canonical_point, classify,
                                 extremal_set_general, extremal_set_graphical)
@@ -37,6 +37,38 @@ def test_digraph_basis_cone_invariants():
             assert all(r[j] <= 0 for j in range(3) if j != i)
         # rows 0 and 1 regenerate the lattice
         assert LatticeBasis(rows[:2]).same_lattice(L)
+
+
+def random_cone_vector(rng, i, span):
+    """A nonzero zero-sum vector with coordinate i >= 0, the others <= 0."""
+    while True:
+        v = [-rng.randint(0, span) for _ in range(3)]
+        v[i] = 0
+        v[i] = -sum(v)
+        if v[i]:
+            return tuple(v)
+
+
+def test_absorb_matches_one_step_loop():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 300:
+        a, b = rng.sample(range(3), 2)
+        b0 = random_cone_vector(rng, a, rng.choice((3, 12, 60)))
+        b1 = random_cone_vector(rng, b, rng.choice((3, 12, 60)))
+        if b0[0] * b1[1] == b0[1] * b1[0]:
+            continue  # parallel: not a basis
+        checked += 1
+        assert _absorb(b0, b1, a, b) == oracles.absorb_one_step(b0, b1, a, b)
+
+
+def test_digraph_basis_thin_lattice():
+    # the one-step loop needs about 3.3 million additions here
+    L = LatticeBasis([(1, 10**7, -10**7 - 1), (-1, 3, -2)])
+    rows = digraph_basis(L)
+    assert rows == ((3333335, -2, -3333333), (-1, 3, -2),
+                    (-3333334, -1, 3333335))
+    assert LatticeBasis(rows[:2]).same_lattice(L)
 
 
 def test_multi_tree_detection(multitree_lattice, skew56_lattice, k3_lattice):

@@ -23,11 +23,15 @@ def files(tmp_path):
     # reflection invariant, not uniform (g_min 3, g_max 4)
     rinu = tmp_path / "rinu.txt"
     rinu.write_text("4\n-2 2 2 -2\n2 0 1 -3\n-2 1 -2 3\n")
+    # index 10,000,003, with a basis of very unequal lengths
+    thin = tmp_path / "thin.txt"
+    thin.write_text("3\n1 10000000 -10000001\n-1 3 -2\n")
     simplex = tmp_path / "simplex.json"
     simplex.write_text(json.dumps([["1/2", "1/2"], ["3/4", "1/2"],
                                    ["1/2", "3/4"]]))
     return {"k3": str(k3), "m322": str(m322), "lat": str(lat),
             "mt": str(mt), "nri": str(nri), "rinu": str(rinu),
+            "thin": str(thin),
             "simplex": str(simplex), "tmp": tmp_path}
 
 
@@ -130,6 +134,15 @@ def test_a2_subcommand(files, capsys):
     assert obj["multi_tree"] is True
     assert obj["strong"] is True
     assert obj["digraph_basis"] == [[3, 0, -3], [0, 2, -2], [-3, -2, 5]]
+
+
+def test_a2_thin_lattice_hits_budget(files, capsys):
+    code = main(["a2", "--lattice", files["thin"], "--budget", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    # an uncaught error (a traceback from the console script) fails here
+    assert captured.err.startswith("resource budget exceeded:")
 
 
 def test_chipfire_subcommand(files, capsys):

@@ -243,6 +243,33 @@ def test_kernel_budget(case, rational_case):
         L.coset_min_max_coord(base, node_budget=L.n - 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_base())
+def test_find_effective_is_lexicographically_least(case):
+    # the rank witnesses and the effectiveness cache store this exact point
+    L, D = case
+    total = sum(D)
+    pts = oracles.coset_points_in_box_pointwise(
+        L.rows, D, [0] * L.dim, [max(total, 0)] * L.dim)
+    assert L.find_effective_in_coset(D) == (min(pts) if pts else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_base(rational=True), st.data())
+def test_iter_coset_fraction_bounds_open_free_coordinate(case, data):
+    L, base = case
+    frac = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
+    lo = [data.draw(frac) for _ in range(L.n)]
+    hi = [t + data.draw(st.integers(0, 4)) for t in lo]
+    got = list(L.iter_coset_in_bounds(base, lo + [None], hi + [None]))
+    # the free coordinate is fixed by the sum, so the pivot box bounds it
+    total = sum(base)
+    free_lo, free_hi = total - sum(hi), total - sum(lo)
+    want = oracles.coset_points_in_box_pointwise(
+        L.rows, base, lo + [free_lo], hi + [free_hi])
+    assert got == sorted(want)
+
+
 def test_pointwise_scan_matches_coefficient_scan():
     rng = random.Random(23)
     for _ in range(6):
