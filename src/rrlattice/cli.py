@@ -29,7 +29,7 @@ from .core import BudgetExceeded, LatticeBasis, degree
 from .graphs import (Multigraph, canonical_divisor, graph_from_text,
                      laplacian_lattice)
 from .extremal import (canonical_point, classify, extremal_set_general,
-                       extremal_set_graphical, reflection_pairing)
+                       extremal_set_graphical)
 from .rank import rank_bruteforce, rank_extremal, verify_riemann_roch, \
     verify_weak_rr
 from .a2 import classify_a2, digraph_basis
@@ -106,7 +106,7 @@ def _cmd_rank(args):
     D = _parse_int_vector(args.divisor, dim=L.dim)
     if G is None:
         use_extremal = (extremal.uniform and
-                        reflection_pairing(extremal, L)[0] is not None)
+                        extremal.reflection_vector is not None)
     else:
         use_extremal = isinstance(G, Multigraph)
     brute = rank_bruteforce(L, D, budget=args.rank_budget,
@@ -198,7 +198,7 @@ def _cmd_classify(args):
 
 def _cmd_verify_rr(args):
     L, extremal, K_graph, _ = _lattice_and_extremal(args)
-    if reflection_pairing(extremal, L)[0] is None:
+    if extremal.reflection_vector is None:
         raise ValueError("lattice is not reflection invariant; "
                          "no canonical point to verify against")
     K = K_graph if K_graph is not None else canonical_point(extremal, L)

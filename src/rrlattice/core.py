@@ -8,6 +8,7 @@ inside Z^(n+1)).  Divisors are plain tuples of ints of length n+1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -381,20 +382,9 @@ class LatticeBasis:
         Yields exactly picard_cardinality() vectors; each is fixed by
         reduce() and they enumerate the divisor classes of that degree.
         """
-        ranges = [range(p) for p in self._pivot_entries]
-
-        def rec(i, acc):
-            if i == self.n:
-                v = [0] * self.dim
-                for col, r in zip(self.pivot_cols, acc):
-                    v[col] = r
-                v[self.free_col] = deg - sum(acc)
-                yield tuple(v)
-                return
-            for r in ranges[i]:
-                yield from rec(i + 1, acc + [r])
-
-        yield from rec(0, [])
+        # the pivots are columns 0..n-1 and the free column is n
+        for c in itertools.product(*map(range, self._pivot_entries)):
+            yield c + (deg - sum(c),)
 
     # -- coset searches ---------------------------------------------------------
     #
@@ -491,9 +481,10 @@ class LatticeBasis:
         tails = [tuple(scale * x for x in row[i + 1:n])
                  for i, row in enumerate(self.hnf)]
         # The walk keeps one frame per level i: rests[i] holds coordinates
-        # i..n-1 so far, accs[i] the l1 norm (or max) of coordinates 0..i-1,
-        # sums[i] what coordinates i..n must still sum to, and qs[i] the
-        # next multiple of row i to try (None on entering the level).
+        # i..n-1 so far, accs[i] the l1 norm (or max) of coordinates 0..i-1
+        # (unused by box), sums[i] what coordinates i..n must still sum to,
+        # and qs[i] the next multiple of row i to try (None on entering the
+        # level).
         rests = [list(base[:n])] + [None] * (n - 1)
         # the max of a zero-sum vector is >= 0, so 0 is a neutral start
         accs = [0] * n
@@ -548,7 +539,8 @@ class LatticeBasis:
                     yield bound, tuple(path) + (f,)
             else:
                 rests[i + 1] = [a + q * b for a, b in zip(rest[1:], tails[i])]
-                accs[i + 1] = acc + abs(v) if l1 else max(acc, v)
+                if not box:
+                    accs[i + 1] = acc + abs(v) if l1 else max(acc, v)
                 sums[i + 1] = R - v
                 qs[i + 1] = None
                 i += 1

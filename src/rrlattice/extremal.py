@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import BudgetExceeded, LatticeBasis, degree, project_H0
 from .geometry import is_extremal, verify_critical
-from .graphs import Multigraph, RegularDigraph, laplacian_lattice
+from .graphs import RegularDigraph, laplacian_lattice
 
 
 class Permutation:
@@ -89,17 +91,16 @@ class ExtremalClass:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtremalSet:
     """All extremal classes of a lattice, one entry per class modulo L."""
 
     lattice: LatticeBasis
     classes: tuple
     source: str  # "graphical", "digraph", "scan", "extension"
-    reflection_vector: Optional[tuple] = field(default=None)
     # zero-sum generator family (Laplacian rows, or an A2 digraph basis)
     # anchoring the simplicial decomposition; None for bare scans
-    q_rows: Optional[tuple] = field(default=None)
+    q_rows: Optional[tuple] = None
 
     @property
     def class_count(self) -> int:
@@ -128,6 +129,20 @@ class ExtremalSet:
     def critical_points(self):
         """Degree-0 projections of the class representatives."""
         return tuple(project_H0(c.representative) for c in self.classes)
+
+    @cached_property
+    def _reflection_list(self):
+        """Every (t, pairing) with -Crit = Crit + t modulo the lattice,
+        sorted by t; see _reflections."""
+        frac = self.lattice.fractional_part
+        return _reflections([frac(c) for c in self.critical_points()], frac)
+
+    @property
+    def reflection_vector(self) -> Optional[tuple]:
+        """The least reflection translation t, reduced modulo the HNF rows
+        of self.lattice, or None if the lattice is not reflection invariant."""
+        refl = self._reflection_list
+        return refl[0][0] if refl else None
 
     def to_json_dict(self):
         out = {
@@ -252,50 +267,52 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
 # -- classification -------------------------------------------------------------
 
 
-def _critical_fracs(L: LatticeBasis, extremal: ExtremalSet):
-    """Canonical (mod L) forms of each class's critical point."""
-    return [L.fractional_part(c) for c in extremal.critical_points()]
+def _reflections(points, canon):
+    """Every translation t with -P = P + t, with its pairing, sorted by t.
 
-
-def _valid_reflection_vectors(L: LatticeBasis, crit_fracs):
-    """All translations t with -Crit = Crit + t modulo L, sorted.
-
-    If any t works, then -c_a = c_b + t for some classes a, b, so trying
-    every candidate -(c_a + c_b) is exhaustive.  Symmetric lattices can
-    admit several valid t (any translation stabilising the critical
-    classes composes with one valid t to give another).
+    points are distinct canonical forms (canon(p) == p) of the set P;
+    canon is L.fractional_part for classes modulo L, or the identity for
+    an exact set.  pairing[i] = j means canon(-(p_i + t)) = p_j.  Every
+    valid t carries -p_0 onto some p_q, so t = canon(-(p_0 + p_q)) for
+    one of only len(points) candidates.  A candidate is valid when every
+    canon(-(p_i + t)) lies in P; the index map is then injective, so a
+    bijection, and an involution because -(p_j + t) = p_i.  Symmetric
+    sets can admit several valid t.
     """
-    crit_set = set(crit_fracs)
-    neg_set = {L.fractional_part(tuple(-x for x in c)) for c in crit_fracs}
-    candidates = set()
-    for ca in crit_fracs:
-        for cb in crit_fracs:
-            t = L.fractional_part(tuple(-(a + b) for a, b in zip(ca, cb)))
-            candidates.add(t)
-    valid = []
-    for t in sorted(candidates):
-        shifted = {
-            L.fractional_part(tuple(a + b for a, b in zip(c, t)))
-            for c in crit_set
-        }
-        if shifted == neg_set:
-            valid.append(t)
-    return valid
+    if not points:
+        return []
+    index_of = {p: i for i, p in enumerate(points)}
+    out = []
+    for q in points:
+        t = canon(tuple(-(a + b) for a, b in zip(points[0], q)))
+        pairing = {}
+        for i, p in enumerate(points):
+            j = index_of.get(canon(tuple(-(a + b) for a, b in zip(p, t))))
+            if j is None:
+                break
+            pairing[i] = j
+        else:
+            out.append((t, pairing))
+    out.sort(key=itemgetter(0))
+    return out
 
 
-def _pairing_for(L: LatticeBasis, crit_fracs, t):
-    """Involution on class indices induced by the translation t, or None."""
-    index_of = {c: i for i, c in enumerate(crit_fracs)}
-    pairing = {}
-    for i, c in enumerate(crit_fracs):
-        target = L.fractional_part(tuple(-(a + b) for a, b in zip(c, t)))
-        j = index_of.get(target)
-        if j is None:
-            return None
-        pairing[i] = j
-    if any(pairing[pairing[i]] != i for i in pairing):
-        return None
-    return pairing
+def _basis_and_reflections(extremal: ExtremalSet, L: Optional[LatticeBasis]):
+    """L (extremal.lattice when None) and the (t, pairing) list of extremal.
+
+    L may be any basis of extremal.lattice; another lattice raises
+    ValueError.  Each t is reduced modulo L's HNF rows, which in rank 3+
+    can differ between two bases of one lattice.
+    """
+    if L is None:
+        L = extremal.lattice
+    elif L is not extremal.lattice and not extremal.lattice.same_lattice(L):
+        raise ValueError("extremal data does not belong to the given lattice")
+    refl = extremal._reflection_list
+    if L.hnf != extremal.lattice.hnf:
+        refl = sorted(((L.fractional_part(t), p) for t, p in refl),
+                      key=itemgetter(0))
+    return L, refl
 
 
 def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):
@@ -303,14 +320,14 @@ def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):
 
     pairing[i] = j means negation carries class i onto class j shifted by
     t; the map is an involution on class indices.  When several t are
-    valid the lexicographically least one is reported.
+    valid the lexicographically least one is reported.  L may be any
+    basis of extremal.lattice; another lattice raises ValueError.
     """
-    crit_fracs = _critical_fracs(L, extremal)
-    for t in _valid_reflection_vectors(L, crit_fracs):
-        pairing = _pairing_for(L, crit_fracs, t)
-        if pairing is not None:
-            return t, pairing
-    return None, None
+    _, refl = _basis_and_reflections(extremal, L)
+    if not refl:
+        return None, None
+    t, pairing = refl[0]
+    return t, dict(pairing)
 
 
 def _resolve_q_rows(L: LatticeBasis, extremal: ExtremalSet):
@@ -393,24 +410,6 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     return frozenset(out)
 
 
-def _strongly_reflection_invariant(L, extremal, node_budget):
-    """Exact set equality -V = V + t on the origin cell's critical vertices.
-
-    Returns None when no generator family anchors the cell (bare scans in
-    rank 3+).
-    """
-    if _resolve_q_rows(L, extremal) is None:
-        return None
-    vertex_set = voronoi_cell_vertices(L, extremal, node_budget=node_budget)
-    neg = {tuple(-x for x in v) for v in vertex_set}
-    for u in sorted(vertex_set):
-        for w in sorted(vertex_set):
-            t = tuple(-(a + b) for a, b in zip(u, w))
-            if {tuple(a + b for a, b in zip(v, t)) for v in vertex_set} == neg:
-                return True
-    return False
-
-
 def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
              node_budget=2_000_000):
     """Uniformity and reflection flags for an extremal set.
@@ -418,20 +417,26 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
     Returns {"uniform", "reflection_invariant",
     "strongly_reflection_invariant", "t"} where t is the reflection
     translation as a tuple of exact rationals (None if not reflection
-    invariant).  The strong flag compares the critical vertex set of the
-    origin's cell with its own negation.
+    invariant), reduced modulo the HNF rows of L.  The strong flag tests
+    the exact set equality -V = V + t on the critical vertices V of the
+    origin's cell; it is None when no generator family anchors the cell
+    (bare scans in rank 3+).  L may be any basis of extremal.lattice;
+    another lattice raises ValueError.
     """
-    if L is None:
-        L = extremal.lattice
-    t, pairing = reflection_pairing(extremal, L)
-    refl = t is not None
+    L, refl = _basis_and_reflections(extremal, L)
+    t = refl[0][0] if refl else None
     strong = False  # strongly invariant implies reflection invariant
-    if refl:
-        extremal.reflection_vector = t
-        strong = _strongly_reflection_invariant(L, extremal, node_budget)
+    if t is not None:
+        q_rows = _resolve_q_rows(L, extremal)
+        if q_rows is None:
+            strong = None
+        else:
+            cell = voronoi_cell_vertices(L, extremal, q_rows=q_rows,
+                                         node_budget=node_budget)
+            strong = bool(_reflections(sorted(cell), lambda v: v))
     return {
         "uniform": extremal.uniform,
-        "reflection_invariant": refl,
+        "reflection_invariant": t is not None,
         "strongly_reflection_invariant": strong,
         "t": t,
     }
@@ -445,16 +450,12 @@ def canonical_point(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     pairs, ties broken by the lexicographically least sum.  The frequency
     rule makes the choice basis-independent, and on Laplacian lattices it
     recovers (vertex degree - 2) on the nose: member sums concentrate on
-    the order/reversed-order pairing.
+    the order/reversed-order pairing.  L may be any basis of
+    extremal.lattice; another lattice raises ValueError.
     """
-    if L is None:
-        L = extremal.lattice
-    crit_fracs = _critical_fracs(L, extremal)
+    _, refl = _basis_and_reflections(extremal, L)
     best = None  # (-count, sum) minimised; counts never mix across t
-    for t in _valid_reflection_vectors(L, crit_fracs):
-        pairing = _pairing_for(L, crit_fracs, t)
-        if pairing is None:
-            continue
+    for _, pairing in refl:
         pair_degree = {
             i: extremal.classes[i].degree + extremal.classes[pairing[i]].degree
             for i in pairing

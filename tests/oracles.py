@@ -217,3 +217,44 @@ def nu_closed_form(rows, order):
 def tropical_nu_degree(rows, order):
     """deg nu via min-plus style accumulation, an independent route."""
     return sum(nu_closed_form(rows, order))
+
+
+def reflections_all_pairs(points, canon):
+    """Every t with -P = P + t, sorted, each with its class pairing.
+
+    points are the canonical forms of the set P and canon maps a point to
+    its canonical form (L.fractional_part for classes modulo L).  Tries
+    all len(points)**2 candidates t = canon(-(p_a + p_b)), compares whole
+    shifted sets, and then builds the index map and checks that it is an
+    involution.
+    """
+    neg_set = {canon(tuple(-x for x in c)) for c in points}
+    candidates = {canon(tuple(-(a + b) for a, b in zip(ca, cb)))
+                  for ca in points for cb in points}
+    index_of = {c: i for i, c in enumerate(points)}
+    out = []
+    for t in sorted(candidates):
+        shifted = {canon(tuple(a + b for a, b in zip(c, t))) for c in points}
+        if shifted != neg_set:
+            continue
+        pairing = {}
+        for i, c in enumerate(points):
+            j = index_of.get(canon(tuple(-(a + b) for a, b in zip(c, t))))
+            if j is None:
+                break
+            pairing[i] = j
+        else:
+            if all(pairing[pairing[i]] == i for i in pairing):
+                out.append((t, pairing))
+    return out
+
+
+def strongly_invariant_all_pairs(vertex_set):
+    """-V = V + t exactly for some t, trying every t = -(u + w), u, w in V."""
+    neg = {tuple(-x for x in v) for v in vertex_set}
+    for u in sorted(vertex_set):
+        for w in sorted(vertex_set):
+            t = tuple(-(a + b) for a, b in zip(u, w))
+            if {tuple(a + b for a, b in zip(v, t)) for v in vertex_set} == neg:
+                return True
+    return False

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import rrlattice.extremal as extremal
 from rrlattice.cli import main
 
 
@@ -189,3 +190,19 @@ def test_usage_errors(files, capsys):
     assert code == 2
     assert main(["rank", "--divisor", "0 0 0"]) == 2  # no input source
     capsys.readouterr()
+
+
+def test_verify_rr_searches_reflections_once(files, capsys, monkeypatch):
+    calls = []
+    search = extremal._reflections
+
+    def counted(points, canon):
+        calls.append(len(points))
+        return search(points, canon)
+
+    monkeypatch.setattr(extremal, "_reflections", counted)
+    for source in (["--graph", files["m322"]], ["--lattice", files["lat"]]):
+        calls.clear()
+        code, out = run(capsys, "verify-rr", *source)
+        assert code == 0 and "ok: True" in out
+        assert len(calls) == 1, source
