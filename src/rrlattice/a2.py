@@ -244,7 +244,7 @@ def extend_family(L: LatticeBasis, with_rr_data: Optional[ExtremalSet] = None,
     L_up = LatticeBasis(rows)
     if with_rr_data is None:
         return L_up, None
-    if with_rr_data.lattice is not L and not with_rr_data.lattice.same_lattice(L):
+    if not with_rr_data.lattice.same_lattice(L):
         raise ValueError("extremal data does not belong to the given lattice")
     lifted = []
     for cls in with_rr_data.classes:

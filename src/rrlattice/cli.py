@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import BudgetExceeded, LatticeBasis, degree
+from .core import BudgetExceeded, LatticeBasis, as_fraction, degree
 from .graphs import (Multigraph, canonical_divisor, graph_from_text,
                      laplacian_lattice)
 from .extremal import (canonical_point, classify, extremal_set_general,
@@ -306,8 +306,8 @@ def _cmd_reduce_simplex(args):
 def _cmd_render(args):
     L = _load_lattice(args.lattice)
     layers = tuple(x for x in args.layers.split(",") if x)
-    t = Fraction(args.t) if args.t is not None else None
-    svg = svg_render_2d(L, window=Fraction(args.window), layers=layers,
+    t = as_fraction(args.t) if args.t is not None else None
+    svg = svg_render_2d(L, window=as_fraction(args.window), layers=layers,
                         t=t, scale=args.scale, node_budget=args.budget)
     if args.out:
         with open(args.out, "w") as fh:

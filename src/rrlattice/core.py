@@ -70,11 +70,28 @@ def as_divisor(v, dim) -> Divisor:
     return ints
 
 
+def as_fraction(x) -> Fraction:
+    """x as an exact rational: an int, a Fraction, a "p/q" string or a
+    [p, q] pair.  Raises ValueError for anything else, a zero denominator
+    included."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
+    raise ValueError("cannot interpret %r as a rational number" % (x,))
+
+
 def _hnf_rows(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns (hnf, pivot_cols).  hnf has one row per pivot, pivots are
-    positive, entries above a pivot are reduced into [0, pivot).
+    positive, entries above a pivot are reduced into [0, pivot), so two
+    matrices with the same row lattice get the same hnf.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -104,8 +121,9 @@ def _hnf_rows(rows):
         rank += 1
         if rank == nrows:
             break
-    # second pass: reduce entries above each pivot into [0, pivot)
-    for r in range(rank - 1, -1, -1):
+    # second pass, top down: reduce entries above each pivot into
+    # [0, pivot); row r leaves the columns of earlier pivots alone
+    for r in range(rank):
         col = pivots[r]
         piv = m[r][col]
         for i in range(r):
@@ -295,9 +313,8 @@ class LatticeBasis:
         return all(x == 0 for x in self.reduce(v))
 
     def same_lattice(self, other: "LatticeBasis") -> bool:
-        return self.dim == other.dim and all(
-            other.contains(r) for r in self.rows
-        ) and all(self.contains(r) for r in other.rows)
+        """Whether both bases span one lattice; the HNF is unique."""
+        return self.hnf == other.hnf
 
     def coords(self, x):
         """Coefficients of x over the HNF rows, as exact Fractions.

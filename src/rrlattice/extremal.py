@@ -1,7 +1,7 @@
 """Extremal point enumeration, genus invariants, reflection/uniformity
 classification and the canonical point construction.
 
-Extremal points are the local degree minima of the Sigma region.  For a
+Extremal points are the minimal elements of the Sigma region.  For a
 graph or regular-digraph Laplacian lattice they all arise, up to lattice
 translation, from vertex orders: each order pi contributes the vector
 whose k-th coordinate is minus the number of arcs into k from vertices
@@ -11,6 +11,7 @@ placed earlier, shifted by the all-ones vector.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,19 +182,20 @@ def _group_into_classes(L: LatticeBasis, vectors):
 def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     """Extremal classes of a Laplacian lattice via order enumeration.
 
-    For undirected multigraphs every order vector (plus all-ones) is
-    extremal, and each class is checked to be; for regular digraphs some
-    may fail and are filtered out, which still yields the complete class
-    list because every critical point arises from some order.
+    For undirected multigraphs every order vector (plus all-ones) is a
+    minimal element of Sigma, and each class is checked to be; for
+    regular digraphs some are not and are filtered out, which still
+    yields every class because each minimal class arises from an order.
+    The k! orders are charged against node_budget before the walk.
     """
+    k = G.vertex_count
+    if math.factorial(k) > node_budget:
+        raise BudgetExceeded("order enumeration: %d! orders exceed the node "
+                             "budget %d" % (k, node_budget))
     Q = G.laplacian_rows()
     L = laplacian_lattice(G)
-    k = G.vertex_count
-    one = (1,) * k
-    vectors = []
-    for order in itertools.permutations(range(k)):
-        nu = nu_of_permutation(Q, order)
-        vectors.append(tuple(a + b for a, b in zip(nu, one)))
+    vectors = [tuple(a + 1 for a in nu_of_permutation(Q, order))
+               for order in itertools.permutations(range(k))]
     classes = _group_into_classes(L, vectors)
     directed = isinstance(G, RegularDigraph)
     if directed:
@@ -241,18 +243,23 @@ def _covering_upper_bound(L: LatticeBasis) -> Fraction:
 def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     """Extremal classes by direct degree-band scan; intended for n <= 3.
 
-    Any extremal vector has degree in [1 - g_upper, n]: its degree is
-    (n+1)(1 - h) for the height h of the matching critical point, with
-    1/(n+1) <= h <= Cov(L), and g_upper = (n+1)*Cov_ub - n for a sound
-    covering bound Cov_ub.  Scanning one canonical representative per
-    class and degree decides everything, since extremality is invariant
-    under lattice translation.
+    Any minimal element of Sigma has degree in [1 - g_upper, n]: its
+    degree is (n+1)(1 - h) for the height h of the matching critical
+    point, with 1/(n+1) <= h <= Cov(L), and g_upper = (n+1)*Cov_ub - n for
+    a sound covering bound Cov_ub.  Scanning one canonical representative
+    per class and degree decides everything, since minimality is
+    invariant under lattice translation.  The index times band-width
+    class tests are charged against node_budget before the scan.
     """
     if L.n > 3:
         raise BudgetExceeded("general extremal scan is limited to n <= 3")
     cov_ub = _covering_upper_bound(L)
     g_upper = (L.n + 1) * cov_ub - L.n
     floor = 1 - int(g_upper)
+    tests = L.picard_cardinality() * (L.n - floor + 1)
+    if tests > node_budget:
+        raise BudgetExceeded("extremal scan: %d class tests exceed the node "
+                             "budget %d" % (tests, node_budget))
     found = []
     for d in range(L.n, floor - 1, -1):
         for rep in L.class_representatives(d):
@@ -300,19 +307,14 @@ def _reflections(points, canon):
 def _basis_and_reflections(extremal: ExtremalSet, L: Optional[LatticeBasis]):
     """L (extremal.lattice when None) and the (t, pairing) list of extremal.
 
-    L may be any basis of extremal.lattice; another lattice raises
-    ValueError.  Each t is reduced modulo L's HNF rows, which in rank 3+
-    can differ between two bases of one lattice.
+    L may be any basis of extremal.lattice (the HNF is unique, so each t
+    is reduced modulo L's rows too); another lattice raises ValueError.
     """
     if L is None:
         L = extremal.lattice
-    elif L is not extremal.lattice and not extremal.lattice.same_lattice(L):
+    elif not extremal.lattice.same_lattice(L):
         raise ValueError("extremal data does not belong to the given lattice")
-    refl = extremal._reflection_list
-    if L.hnf != extremal.lattice.hnf:
-        refl = sorted(((L.fractional_part(t), p) for t, p in refl),
-                      key=itemgetter(0))
-    return L, refl
+    return L, extremal._reflection_list
 
 
 def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):

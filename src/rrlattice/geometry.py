@@ -1,6 +1,6 @@
 """Simplicial distances, the lattice distance function h, Sigma-region
-membership, extremality and criticality tests, covering number, and the
-covering/packing duality probe.
+membership, extremality (minimality in Sigma) and criticality tests,
+covering number, and the covering/packing duality probe.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -14,7 +14,6 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,28 +74,20 @@ def sigma_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
     return L.find_effective_in_coset(neg, node_budget) is None
 
 
-def _neighbor_offsets(dim):
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        if any(off):
-            yield off
-
-
 def is_extremal(L: LatticeBasis, v, node_budget=2_000_000) -> bool:
-    """Local degree minimality of v inside the Sigma region.
+    """Whether v is a minimal element of the Sigma region.
 
-    v must be in the region and no l-infinity neighbor of strictly
-    smaller degree may be in it.  Neighbors of degree >= degree(v) cannot
-    violate the condition, so only negative-degree offsets are searched.
+    v must be in the region and no v - e_i may be in it.  The region is
+    closed upwards (if no lattice point dominates u, none dominates u + w
+    for w >= 0), so these n + 1 points decide minimality against every
+    point below v.
     """
     if not sigma_contains(L, v, node_budget):
         return False
-    for off in _neighbor_offsets(len(v)):
-        if sum(off) >= 0:
-            continue
-        u = tuple(a + b for a, b in zip(v, off))
-        if sigma_contains(L, u, node_budget):
-            return False
-    return True
+    return not any(
+        sigma_contains(L, tuple(x - (j == i) for j, x in enumerate(v)),
+                       node_budget)
+        for i in range(len(v)))
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BudgetExceeded, LatticeBasis, _bareiss_det, solve_rational
+from .core import (BudgetExceeded, LatticeBasis, _bareiss_det, as_fraction,
+                   solve_rational)
 
 __all__ = [
     "RationalSimplex",
     "reduce_simplex_to_membership",
     "simplex_has_integer_point",
 ]
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise ValueError("cannot interpret %r as a rational number" % (x,))
 
 
 @dataclass
@@ -50,7 +39,7 @@ class RationalSimplex:
 
     def __post_init__(self):
         verts = tuple(
-            tuple(_as_fraction(x) for x in v) for v in self.vertices
+            tuple(as_fraction(x) for x in v) for v in self.vertices
         )
         if not verts:
             raise ValueError("empty vertex list")
@@ -81,7 +70,7 @@ class RationalSimplex:
         )
 
     def scaled(self, factor) -> "RationalSimplex":
-        f = _as_fraction(factor)
+        f = as_fraction(factor)
         return RationalSimplex(
             tuple(tuple(f * x for x in v) for v in self.vertices)
         )
@@ -91,14 +80,16 @@ class RationalSimplex:
         k = self.dim + 1
         M = [[self.vertices[j][i] for j in range(k)] for i in range(self.dim)]
         M.append([Fraction(1)] * k)
-        rhs = [_as_fraction(x) for x in point] + [Fraction(1)]
+        rhs = [as_fraction(x) for x in point] + [Fraction(1)]
         lam = solve_rational(M, rhs)
         return all(v >= 0 for v in lam)
 
     @classmethod
     def from_json_obj(cls, obj) -> "RationalSimplex":
         """Vertices as lists of ints, "p/q" strings or [p, q] pairs."""
-        return cls(tuple(tuple(_as_fraction(x) for x in v) for v in obj))
+        if not (isinstance(obj, list) and all(isinstance(v, list) for v in obj)):
+            raise ValueError("a simplex is a list of vertex lists")
+        return cls(obj)
 
     def to_json_dict(self):
         return {

@@ -8,7 +8,7 @@ unit tests were produced by these routines.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, \
@@ -258,3 +258,85 @@ def strongly_invariant_all_pairs(vertex_set):
             if {tuple(a + b for a, b in zip(v, t)) for v in vertex_set} == neg:
                 return True
     return False
+
+
+def sigma_contains_box(rows, D):
+    """D in Sigma(L) iff no lattice point p >= D.  Such a p has degree 0,
+    so it lies in the box D_i <= p_i <= D_i - deg(D), which is scanned
+    point by point."""
+    d = sum(D)
+    if d > 0:
+        return True
+    return not coset_points_in_box_pointwise(
+        rows, (0,) * len(D), D, [x - d for x in D])
+
+
+def is_minimal_in_sigma(rows, v):
+    """v in Sigma and no v - e_i in Sigma, by box scans."""
+    if not sigma_contains_box(rows, v):
+        return False
+    return not any(
+        sigma_contains_box(rows, tuple(x - (j == i) for j, x in enumerate(v)))
+        for i in range(len(v)))
+
+
+def is_extremal_linf(L, v, node_budget=2_000_000):
+    """The l-infinity test that served as the library's extremality test,
+    on the library's sigma_contains: v in Sigma and no neighbour v + off,
+    off in {-1, 0, 1}^(n+1) of negative sum, in Sigma.  It accepts only minimal elements of Sigma,
+    but it rejects some of them (a neighbour off the axes can lie in
+    Sigma while no v - e_i does)."""
+    from rrlattice.geometry import sigma_contains
+
+    if not sigma_contains(L, v, node_budget):
+        return False
+    for off in product((-1, 0, 1), repeat=len(v)):
+        if sum(off) >= 0:
+            continue
+        if sigma_contains(L, tuple(a + b for a, b in zip(v, off)),
+                          node_budget):
+            return False
+    return True
+
+
+def canonical_edge_key(k, edges):
+    """The least relabelling of an edge set: the isomorphism class key."""
+    best = None
+    for perm in permutations(range(k)):
+        key = tuple(sorted(tuple(sorted((perm[i], perm[j])))
+                           for i, j in edges))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def connected_simple_graphs_by_key(k):
+    """Edge matrices of the connected simple graphs on k vertices, one per
+    isomorphism class: the first edge set of each class, walking edge
+    sets by size and then in itertools.combinations order, with the class
+    decided by canonical_edge_key."""
+    pairs = list(combinations(range(k), 2))
+    seen = set()
+    out = []
+    for r in range(k - 1, len(pairs) + 1):
+        for subset in combinations(pairs, r):
+            adj = {i: set() for i in range(k)}
+            for i, j in subset:
+                adj[i].add(j)
+                adj[j].add(i)
+            reach, stack = {0}, [0]
+            while stack:
+                for w in adj[stack.pop()] - reach:
+                    reach.add(w)
+                    stack.append(w)
+            if len(reach) < k:
+                continue
+            key = canonical_edge_key(k, subset)
+            if key in seen:
+                continue
+            seen.add(key)
+            mat = [[0] * k for _ in range(k)]
+            for i, j in subset:
+                mat[i][j] = mat[j][i] = 1
+            out.append(tuple(tuple(row) for row in mat))
+    return out

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -206,3 +207,99 @@ def test_verify_rr_searches_reflections_once(files, capsys, monkeypatch):
         code, out = run(capsys, "verify-rr", *source)
         assert code == 0 and "ok: True" in out
         assert len(calls) == 1, source
+
+
+# -- the exit-code contract ------------------------------------------------------
+
+
+@pytest.fixture()
+def contract_files(tmp_path):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    return {
+        "k3": write("k3.json", json.dumps(
+            {"vertices": 3, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]})),
+        "k12": write("k12.json", json.dumps(
+            {"vertices": 12, "edges": [[i, j, 1] for i in range(12)
+                                       for j in range(i + 1, 12)]})),
+        "bad_graph": write("bad.json", json.dumps({"vertices": 3})),
+        "lat": write("lat.txt", "3\n3 0 -3\n0 2 -2\n"),
+        # index 10^6
+        "huge_lat": write("huge.txt", "3\n1000 0 -1000\n0 1000 -1000\n"),
+        "bad_lat": write("bad.txt", "3\n1 2\n"),
+        "simplex": write("simplex.json", json.dumps(
+            [["1/2", "1/2"], ["3/4", "1/2"], ["1/2", "3/4"]])),
+        "bad_simplex": write("bad_simplex.json", json.dumps(
+            [["1/0", "1"], [1, 2], [3, 4]])),
+        "huge_simplex": write("huge_simplex.json", json.dumps(
+            [["1/3", "1/3"], ["1000000/3", "1/3"], ["1/3", "1000000/3"]])),
+    }
+
+
+ZEROS12 = " ".join(["0"] * 12)
+# (subcommand, valid, malformed, huge) argument lists; names in braces are
+# contract_files entries
+CONTRACT = [
+    ("rank", ["--graph", "{k3}", "--divisor", "0 0 0"],
+     ["--lattice", "{lat}", "--divisor", "a b c"],
+     ["--graph", "{k12}", "--divisor", ZEROS12]),
+    ("genus", ["--graph", "{k3}"], ["--graph", "{bad_graph}"],
+     ["--lattice", "{huge_lat}"]),
+    ("extremals", ["--lattice", "{lat}"], ["--lattice", "{bad_lat}"],
+     ["--graph", "{k12}"]),
+    ("canonical", ["--graph", "{k3}"], ["--graph", "{bad_graph}"],
+     ["--lattice", "{huge_lat}"]),
+    ("classify", ["--lattice", "{lat}"], ["--lattice", "{bad_lat}"],
+     ["--graph", "{k12}"]),
+    ("verify-rr", ["--graph", "{k3}"], ["--graph", "{bad_graph}"],
+     ["--lattice", "{huge_lat}"]),
+    ("picard", ["--graph", "{k3}"], ["--lattice", "{bad_lat}"],
+     ["--lattice", "{huge_lat}"]),
+    ("chipfire", ["--graph", "{k3}", "--chips", "-1 1 1"],
+     ["--graph", "{k3}", "--chips", "-1 1"],
+     ["--graph", "{k12}", "--chips", "-1000000000 " + ZEROS12[2:]]),
+    ("a2", ["--lattice", "{lat}"], ["--lattice", "{bad_lat}"],
+     ["--lattice", "{huge_lat}"]),
+    ("reduce-simplex", ["--simplex", "{simplex}", "--check"],
+     ["--simplex", "{bad_simplex}", "--check"],
+     ["--simplex", "{huge_simplex}", "--check"]),
+    ("render", ["--lattice", "{lat}"],
+     ["--lattice", "{lat}", "--layers", "arrangement", "--t", "1/0"],
+     ["--lattice", "{huge_lat}"]),
+]
+
+
+@pytest.mark.parametrize("kind", ["valid", "malformed", "huge"])
+@pytest.mark.parametrize("case", CONTRACT, ids=[c[0] for c in CONTRACT])
+def test_cli_exit_code_contract(contract_files, capsys, case, kind):
+    # exit 0, 1 or 2 and never a traceback: an exception escaping main()
+    # is what the console script would print as one
+    command, *inputs = case
+    args = inputs[("valid", "malformed", "huge").index(kind)]
+    argv = [command] + [a.format(**contract_files) for a in args]
+    code = main(argv + ["--budget", "100000"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if kind == "valid":
+        assert code == 0, err
+    elif kind == "malformed":
+        assert code == 2 and err.startswith("error:"), err
+    else:
+        assert code in (0, 2), err
+
+
+@pytest.mark.parametrize("source", [["--graph", "{k12}"],
+                                    ["--lattice", "{huge_lat}"]])
+def test_extremal_enumerations_stop_at_the_budget(contract_files, capsys,
+                                                  source):
+    # K12 has 12! vertex orders and the lattice 10^6 classes per degree;
+    # both are charged against the budget before any is walked
+    start = time.perf_counter()
+    code = main(["extremals"] + [a.format(**contract_files) for a in source]
+                + ["--budget", "100000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err.startswith("resource budget exceeded:")

@@ -288,3 +288,37 @@ def test_free_column_is_last():
             L = random_basis(rng, dim, span=3)
             assert L.free_col == L.n
             assert L.pivot_cols == tuple(range(L.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_lattices(), st.data())
+def test_hnf_is_invariant_under_unimodular_row_operations(L, data):
+    rows = [list(r) for r in L.rows]
+    for _ in range(data.draw(st.integers(1, 6))):
+        a, b = data.draw(st.permutations(range(L.n)))[:2]
+        op = data.draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add":
+            c = data.draw(st.integers(-3, 3))
+            rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        elif op == "swap":
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            rows[a] = [-x for x in rows[a]]
+    M = LatticeBasis(rows)
+    assert M.hnf == L.hnf
+    assert M.same_lattice(L) and L.same_lattice(M)
+    for r, col in enumerate(L.pivot_cols):
+        piv = L.hnf[r][col]
+        assert piv > 0
+        assert all(0 <= L.hnf[i][col] < piv for i in range(r))
+
+
+def test_hnf_does_not_depend_on_the_basis():
+    # reducing above the pivots bottom-up gave (1, 0, -10, 9) for the
+    # first basis and (1, 0, -58, 57) for the second
+    rows = ((-3, -2, 2, 3), (0, 3, 2, -5), (2, 3, -2, -3))
+    other = (tuple(x + 2 * y for x, y in zip(rows[0], rows[1])),) + rows[1:]
+    for basis in (rows, other):
+        assert LatticeBasis(basis).hnf[0] == (1, 0, 6, -7)
+    assert not LatticeBasis(rows).same_lattice(
+        LatticeBasis(((-3, -2, 2, 3), (0, 3, 2, -5), (4, 6, -4, -6))))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rrlattice.core import LatticeBasis
 from rrlattice.geometry import (covering_number, critical_distance,
@@ -167,3 +169,54 @@ def test_svg_render(m322_lattice, m322_extremal, k3_lattice, k3_extremal):
     with pytest.raises(ValueError):
         svg_render_2d(LatticeBasis([(1, -1, 0, 0), (0, 1, -1, 0),
                                     (0, 0, 1, -1)]))
+
+
+@st.composite
+def lattice_and_point(draw):
+    """A rank-2 or rank-3 lattice of index <= 30 and a point of degree
+    near 0."""
+    n = draw(st.sampled_from((2, 3)))
+    rows = []
+    for _ in range(n):
+        body = [draw(st.integers(-3, 3)) for _ in range(n)]
+        rows.append(tuple(body + [-sum(body)]))
+    try:
+        L = LatticeBasis(rows)
+    except ValueError:
+        assume(False)
+    # the box scans of the oracle cost about (index + 1) ** n points
+    assume(L.picard_cardinality() <= 30)
+    v = tuple(draw(st.integers(-4, 4)) for _ in range(n + 1))
+    return L, v
+
+
+def _descend_in_sigma(L, v):
+    """A minimal element of Sigma below v raised to degree 1: lower each
+    coordinate while the point stays in Sigma, until none can be."""
+    u = list(v)
+    u[-1] += 1 - sum(v)  # positive degree: no lattice point dominates u
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(u)):
+            u[i] -= 1
+            while sigma_contains(L, tuple(u)):
+                changed = True
+                u[i] -= 1
+            u[i] += 1
+    return tuple(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_point())
+def test_is_extremal_is_minimality_in_sigma(case):
+    # extremal means minimal in Sigma: v in it, and no v - e_i in it; the
+    # l-infinity test of oracles.is_extremal_linf accepts a subset of them
+    L, v = case
+    w = _descend_in_sigma(L, v)
+    assert oracles.is_minimal_in_sigma(L.rows, w)
+    for u in (v, w):
+        minimal = oracles.is_minimal_in_sigma(L.rows, u)
+        assert is_extremal(L, u) == minimal, u
+        if oracles.is_extremal_linf(L, u):
+            assert minimal, u

@@ -12,6 +12,8 @@ from rrlattice.graphs import (Multigraph, RegularDigraph,
                               random_connected_multigraph,
                               spanning_tree_count)
 
+import oracles
+
 
 def test_multigraph_validation():
     with pytest.raises(ValueError):
@@ -114,3 +116,12 @@ def test_parsing_roundtrip(m322):
     text = "vertices 3\n0 1 3\n0 2 2\n1 2 2\n"
     assert graph_from_text(text).edge_list() == m322.edge_list()
     assert graph_from_text("0 1\n1 2").edge_count == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_connected_simple_graphs_match_canonical_key_oracle(k):
+    # the same graphs with the same labels in the same order: the
+    # benchmark's rank sweep runs on these labels, and the l1 kernel's
+    # cost on one graph swings with the labelling
+    assert [G.edge_mult for G in connected_simple_graphs(k)] == \
+        oracles.connected_simple_graphs_by_key(k)

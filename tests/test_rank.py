@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -227,3 +228,50 @@ def test_rank_extremal_matches_bruteforce_nonuniform(which, data):
     assert all(x >= 0 for x in E) and degree(E) == r.rank + 1
     ok, _ = linear_system_nonempty(L, tuple(d - e for d, e in zip(D, E)))
     assert not ok
+
+
+@pytest.mark.parametrize("which", range(len(NONUNIFORM)))
+def test_rank_extremal_matches_bruteforce_on_grid_nonuniform(which):
+    # every D in [-4, 6]^(n+1) of degree 2 or 3; with the l-infinity
+    # extremality test, 74 of these ranks were wrong on NONUNIFORM[1],
+    # (-3, -4, 5, 5) among them (rank 0 in place of -1)
+    G = NONUNIFORM[which]
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    for D in itertools.product(range(-4, 7), repeat=L.dim):
+        if degree(D) in (2, 3):
+            assert rank_extremal(L, D, ex).rank == \
+                rank_bruteforce(L, D, budget=40).rank, D
+
+
+def test_nonuniform_digraph_keeps_every_minimal_class():
+    # the class of (0, 0, 12, -15) arises from a vertex order and is
+    # minimal in Sigma; the l-infinity test filtered it out
+    G = NONUNIFORM[1]
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    assert ex.class_count == 4 and (ex.g_min, ex.g_max) == (4, 5)
+    assert L.reduce((0, 0, 12, -15)) in {L.reduce(r)
+                                          for r in ex.representatives}
+    assert rank_extremal(L, (-3, -4, 5, 5), ex).rank == -1
+
+
+RANK3_LATTICES = (
+    ((-1, 1, 2, -2), (-2, -2, 1, 3), (3, -3, -3, 3)),
+    ((-1, 3, -3, 1), (-2, 0, 1, 1), (-3, 0, -3, 6)),
+    ((3, -3, 1, -1), (-2, -1, -3, 6), (0, -3, -1, 4)),
+    ((-2, 1, 3, -2), (-3, 0, 1, 2), (3, -1, -1, -1)),
+)
+
+
+@pytest.mark.parametrize("rows", RANK3_LATTICES)
+def test_rank_extremal_matches_bruteforce_rank3_scan(rows):
+    # bare lattices whose scan dropped minimal classes under the
+    # l-infinity test: 6, 8, 1 and 1 of these 300 ranks were wrong
+    L = LatticeBasis(rows)
+    ex = extremal_set_general(L)
+    rng = random.Random(1)
+    for _ in range(300):
+        D = tuple(rng.randint(-8, 8) for _ in range(L.dim))
+        assert rank_extremal(L, D, ex).rank == \
+            rank_bruteforce(L, D, budget=40).rank, D
