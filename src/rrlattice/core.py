@@ -479,9 +479,10 @@ class LatticeBasis:
 
         "l1" (the sum of |v_i|) and "max" (the largest coordinate; base
         must then sum to zero): yields (value, point) for points of value
-        <= bound, where the bound starts at cap and drops to the value of
-        each leaf.  A branch is pruned only when it must exceed the bound,
-        so ties survive, and the first leaf at the least value is the
+        <= bound, where the bound starts at cap and drops below each leaf
+        (to its value - 1): a later tie could not win on the lexicographic
+        order.  A branch is pruned only when it must exceed the bound, so
+        each leaf beats the one before, and the last leaf is the
         lexicographically least minimiser.  The unfixed coordinates i..n
         must still sum to R.  Under l1 they cost at least |R|, and
         coordinate i = v then needs |v| + |R - v| = max(|R|, |2v - R|) <=
@@ -552,8 +553,9 @@ class LatticeBasis:
                     if (flo is None or f >= flo) and (fhi is None or f <= fhi):
                         yield tuple(path) + (f,)
                 else:
-                    bound = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
-                    yield bound, tuple(path) + (f,)
+                    value = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
+                    bound = value - 1
+                    yield value, tuple(path) + (f,)
             else:
                 rests[i + 1] = [a + q * b for a, b in zip(rest[1:], tails[i])]
                 if not box:
@@ -577,7 +579,8 @@ class LatticeBasis:
         num = tuple(t.numerator * (den // t.denominator) for t in base)
         near = self._babai_point(num, den)
         cap = max(a - den * b for a, b in zip(num, near))
-        # min keeps the first least leaf: the lexicographically least point
+        # each leaf beats the last, so min is the final leaf: the
+        # lexicographically least minimiser
         leaves = self._branch_and_bound(num, den, cap, "max", node_budget)
         val, point = min(leaves, key=itemgetter(0))
         return Fraction(val, den), tuple(Fraction(x, den) for x in point)

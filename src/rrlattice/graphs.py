@@ -12,9 +12,22 @@ from typing import Iterable, Sequence
 from .core import BudgetExceeded, LatticeBasis, _bareiss_det
 
 
-def _check_square(mat, k):
+def _multiplicities(rows, k):
+    """rows as a k x k tuple of int multiplicities.
+
+    Raises ValueError for another shape or an entry that is not an
+    integer (2.0 is accepted, 1.5 is not), as core.as_divisor does.
+    """
+    mat = tuple(tuple(r) for r in rows)
     if len(mat) != k or any(len(r) != k for r in mat):
         raise ValueError("expected a %dx%d matrix" % (k, k))
+    try:
+        ints = tuple(tuple(map(int, r)) for r in mat)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != mat:
+        raise ValueError("multiplicities %r are not all integers" % (mat,))
+    return ints
 
 
 def _connected(mat, k) -> bool:
@@ -39,8 +52,7 @@ class Multigraph:
     def __init__(self, vertex_count: int, edge_mult: Sequence[Sequence[int]]):
         if vertex_count < 2:
             raise ValueError("need at least 2 vertices")
-        mat = tuple(tuple(int(x) for x in row) for row in edge_mult)
-        _check_square(mat, vertex_count)
+        mat = _multiplicities(edge_mult, vertex_count)
         for i in range(vertex_count):
             if mat[i][i] != 0:
                 raise ValueError("loops are not allowed")
@@ -148,8 +160,7 @@ class RegularDigraph:
     def __init__(self, vertex_count: int, arc_mult: Sequence[Sequence[int]]):
         if vertex_count < 2:
             raise ValueError("need at least 2 vertices")
-        mat = tuple(tuple(int(x) for x in row) for row in arc_mult)
-        _check_square(mat, vertex_count)
+        mat = _multiplicities(arc_mult, vertex_count)
         for i in range(vertex_count):
             if mat[i][i] != 0:
                 raise ValueError("loops are not allowed")

@@ -16,14 +16,14 @@ everywhere; the verifiers below drive that comparison over divisor samples
 and check the Riemann-Roch equality and the weak two-sided inequality for
 non-uniform lattices.
 
-Neither algorithm is uniformly faster.  Measured on 2 CPUs with Python
-3.11.7, per call:
+Neither algorithm is uniformly faster.  Measured on 2 CPUs shared with
+other work, Python 3.11.7, per call, median of 5 runs:
 
   * the acceptance suite's rank-equivalence sample (13,139 divisors on 45
     graphs of at most 5 vertices, 6.3 extremal classes per divisor on
-    average): rank_bruteforce 0.10 ms, rank_extremal 0.28 ms;
+    average): rank_bruteforce 0.11 ms, rank_extremal 0.34 ms;
   * the rr_sweep benchmark workload, seed 1, 20 rounds (degrees up to 3g,
-    genus up to 6): rank_bruteforce 0.25 ms, rank_extremal 0.28 ms.
+    genus up to 6): rank_bruteforce 0.38 ms, rank_extremal 0.27 ms.
 
 rank_bruteforce is cheap while its effectiveness tests keep hitting the
 lattice's cache, but its work grows exponentially with deg(D), under a
@@ -33,8 +33,10 @@ classes, which is large on dense graphs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Optional
 
 from .core import BudgetExceeded, LatticeBasis, as_divisor, deg_plus, degree
@@ -99,13 +101,16 @@ def linear_system_nonempty(L: LatticeBasis, D, node_budget=2_000_000):
 
 
 def _compositions(total, parts):
-    """Nonnegative integer vectors of given sum, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Nonnegative integer vectors of given sum, lexicographically.
+
+    Stars and bars: cut points 0 <= c_1 <= ... <= c_(parts-1) <= total
+    split total stars into parts, part j getting c_(j+1) - c_j (with
+    c_0 = 0 and c_parts = total).  The cut points come in lexicographic
+    order, and so do the vectors.
+    """
+    for cuts in itertools.combinations_with_replacement(range(total + 1),
+                                                        parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
@@ -124,13 +129,17 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
             "rank_bruteforce: degree %d exceeds budget %d" % (d, budget)
         )
     rD = L.reduce(D)
-    for s in range(max(d, -1) + 2):
+    for s in range(d + 1):
         for E in _compositions(s, L.dim):
-            shifted = tuple(a - b for a, b in zip(rD, E))
-            ok, _ = linear_system_nonempty(L, shifted, node_budget)
+            ok, _ = linear_system_nonempty(L, tuple(map(sub, rD, E)),
+                                           node_budget)
             if not ok:
                 return RankResult(rank=s - 1, witness=E, method="bruteforce")
-    raise AssertionError("no empty linear system up to degree deg(D)+1")
+    # every E of degree deg(D) + 1 leaves a negative degree, so the first
+    # of them, (0, ..., 0, s), is the witness
+    s = max(d + 1, 0)
+    return RankResult(rank=s - 1, witness=(0,) * (L.dim - 1) + (s,),
+                      method="bruteforce")
 
 
 def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,

@@ -303,3 +303,13 @@ def test_extremal_enumerations_stop_at_the_budget(contract_files, capsys,
     assert time.perf_counter() - start < 1
     assert code == 2
     assert capsys.readouterr().err.startswith("resource budget exceeded:")
+
+
+def test_fractional_multiplicity_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(
+        {"vertices": 3, "edges": [[0, 1, 1.5], [1, 2, 2.7]]}))
+    code = main(["genus", "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), err
+    assert "Traceback" not in err

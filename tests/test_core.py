@@ -322,3 +322,23 @@ def test_hnf_does_not_depend_on_the_basis():
         assert LatticeBasis(basis).hnf[0] == (1, 0, 6, -7)
     assert not LatticeBasis(rows).same_lattice(
         LatticeBasis(((-3, -2, 2, 3), (0, 3, 2, -5), (4, 6, -4, -6))))
+
+
+# Two rank-4 searches that need more than the default 2,000,000 nodes
+# unless the bound drops below each leaf; the expected answers are those of
+# a box walk over [-v, v]^5, v the minimal norm.
+L1_PAST_THE_OLD_BUDGET = [
+    (((-1, 4, -3, 4, -4), (4, -4, -4, -4, 8), (4, 4, 3, 2, -13),
+      (3, 3, 2, -2, -6)), (5, -2, -8, 8, 8), (11, (0, 9, 1, 0, 1))),
+    (((-4, -3, 2, -3, 8), (-4, 3, -1, 3, -1), (0, 4, 4, 3, -11),
+      (3, 2, -3, -4, 2)), (-3, -6, -6, 7, 6), (8, (3, 0, -1, -1, -3))),
+]
+
+
+@pytest.mark.parametrize("rows, base, expected", L1_PAST_THE_OLD_BUDGET)
+def test_coset_min_l1_rank4_within_default_budget(rows, base, expected):
+    assert LatticeBasis(rows).coset_min_l1(base) == expected
+    val = expected[0]
+    pts = oracles.coset_points_in_box_pointwise(
+        rows, base, [-val] * len(base), [val] * len(base))
+    assert min((sum(abs(x) for x in p), p) for p in pts) == expected

@@ -125,3 +125,19 @@ def test_connected_simple_graphs_match_canonical_key_oracle(k):
     # cost on one graph swings with the labelling
     assert [G.edge_mult for G in connected_simple_graphs(k)] == \
         oracles.connected_simple_graphs_by_key(k)
+
+
+def test_multiplicities_must_be_integers():
+    # not truncated to 1 and 2: a multiplicity must be an integer
+    with pytest.raises(ValueError):
+        graph_from_json_dict({"vertices": 3,
+                              "edges": [[0, 1, 1.5], [1, 2, 2.7]]})
+    with pytest.raises(ValueError):
+        Multigraph(2, [[0, 1.5], [1.5, 0]])
+    with pytest.raises(ValueError):
+        RegularDigraph.from_arcs(2, [(0, 1, 1.5), (1, 0, 1.5)])
+    G = graph_from_json_dict({"vertices": 3, "edges": [[0, 1, 2.0], [1, 2, 1]]})
+    assert G.edge_mult == ((0, 2, 0), (2, 0, 1), (0, 1, 0))
+    assert all(type(x) is int for row in G.edge_mult for x in row)
+    D = RegularDigraph.from_arcs(2, [(0, 1, 2.0), (1, 0, 2)])
+    assert all(type(x) is int for row in D.arc_mult for x in row)

@@ -10,9 +10,10 @@ from rrlattice.core import BudgetExceeded, LatticeBasis, degree
 from rrlattice.extremal import extremal_set_general, extremal_set_graphical
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               laplacian_lattice)
-from rrlattice.rank import (default_divisor_samples, linear_system_nonempty,
-                            rank_bruteforce, rank_extremal,
-                            verify_riemann_roch, verify_weak_rr)
+from rrlattice.rank import (_compositions, default_divisor_samples,
+                            linear_system_nonempty, rank_bruteforce,
+                            rank_extremal, verify_riemann_roch,
+                            verify_weak_rr)
 
 import oracles
 
@@ -275,3 +276,10 @@ def test_rank_extremal_matches_bruteforce_rank3_scan(rows):
         D = tuple(rng.randint(-8, 8) for _ in range(L.dim))
         assert rank_extremal(L, D, ex).rank == \
             rank_bruteforce(L, D, budget=40).rank, D
+
+
+def test_compositions_match_the_recursive_oracle():
+    for total in range(9):
+        for parts in range(1, 7):
+            assert list(_compositions(total, parts)) == \
+                list(oracles._compositions(total, parts)), (total, parts)
