@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import degree, solve_rational
+from .core import as_divisor, degree, solve_rational
 from .graphs import Multigraph, canonical_divisor, laplacian_lattice
 from .rank import linear_system_nonempty
 
@@ -28,9 +28,7 @@ class Configuration:
     chips: tuple
 
     def __post_init__(self):
-        self.chips = tuple(int(c) for c in self.chips)
-        if len(self.chips) != self.graph.vertex_count:
-            raise ValueError("chip vector length must match the vertex count")
+        self.chips = as_divisor(self.chips, self.graph.vertex_count)
 
     @property
     def degree(self) -> int:

@@ -51,23 +51,34 @@ def project_H0(v) -> RationalPoint:
     return tuple(Fraction(x) - shift for x in v)
 
 
-def as_divisor(v, dim) -> Divisor:
-    """v as a divisor: a tuple of dim ints.
+def as_ints(v, what) -> tuple:
+    """v as a tuple of ints, never truncated.
 
-    Raises ValueError for a wrong length or an entry that is not an
+    Raises ValueError, calling v a ``what``, for an entry that is not an
     integer (2.0 and Fraction(4, 2) are accepted, 0.9 is not).
     """
     out = tuple(v)
-    if len(out) != dim:
-        raise ValueError(
-            "divisor %r has %d coordinates, expected %d" % (v, len(out), dim))
     try:
         ints = tuple(map(int, out))
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints != out:
-        raise ValueError("divisor %r has an entry that is not an integer" % (v,))
+        raise ValueError("%s %r has an entry that is not an integer"
+                         % (what, out))
     return ints
+
+
+def as_divisor(v, dim) -> Divisor:
+    """v as a divisor: a tuple of dim ints.
+
+    Raises ValueError for a wrong length or an entry that is not an
+    integer (see as_ints).
+    """
+    out = tuple(v)
+    if len(out) != dim:
+        raise ValueError(
+            "divisor %r has %d coordinates, expected %d" % (v, len(out), dim))
+    return as_ints(out, "divisor")
 
 
 def as_fraction(x) -> Fraction:
@@ -251,7 +262,7 @@ class LatticeBasis:
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise ValueError("need at least one basis row")
         width = len(rows[0])
@@ -263,6 +274,7 @@ class LatticeBasis:
             raise ValueError(
                 "expected %d rows for ambient dimension %d" % (width - 1, width)
             )
+        rows = tuple(as_ints(r, "basis row") for r in rows)
         for r in rows:
             if sum(r) != 0:
                 raise ValueError("basis row %r does not sum to zero" % (r,))

@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, LatticeBasis, degree, project_H0
+from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
 from .geometry import is_extremal, verify_critical
 from .graphs import RegularDigraph, laplacian_lattice
 
@@ -30,7 +30,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        images = tuple(int(x) for x in images)
+        images = as_ints(images, "vertex order")
         if sorted(images) != list(range(len(images))):
             raise ValueError("not a permutation of 0..n")
         self.images = images

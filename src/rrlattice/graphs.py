@@ -9,25 +9,19 @@ import itertools
 import json
 from typing import Iterable, Sequence
 
-from .core import BudgetExceeded, LatticeBasis, _bareiss_det
+from .core import BudgetExceeded, LatticeBasis, _bareiss_det, as_ints
 
 
 def _multiplicities(rows, k):
     """rows as a k x k tuple of int multiplicities.
 
     Raises ValueError for another shape or an entry that is not an
-    integer (2.0 is accepted, 1.5 is not), as core.as_divisor does.
+    integer (2.0 is accepted, 1.5 is not; see core.as_ints).
     """
     mat = tuple(tuple(r) for r in rows)
     if len(mat) != k or any(len(r) != k for r in mat):
         raise ValueError("expected a %dx%d matrix" % (k, k))
-    try:
-        ints = tuple(tuple(map(int, r)) for r in mat)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != mat:
-        raise ValueError("multiplicities %r are not all integers" % (mat,))
-    return ints
+    return tuple(as_ints(r, "multiplicity row") for r in mat)
 
 
 def _connected(mat, k) -> bool:

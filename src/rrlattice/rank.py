@@ -19,16 +19,18 @@ non-uniform lattices.
 Neither algorithm is uniformly faster.  Measured on 2 CPUs shared with
 other work, Python 3.11.7, per call, median of 5 runs:
 
-  * the acceptance suite's rank-equivalence sample (13,139 divisors on 45
+  * the acceptance suite's rank-equivalence sample (13,139 divisors on 50
     graphs of at most 5 vertices, 6.3 extremal classes per divisor on
-    average): rank_bruteforce 0.11 ms, rank_extremal 0.34 ms;
+    average): rank_bruteforce 0.066 ms, rank_extremal 0.26 ms;
   * the rr_sweep benchmark workload, seed 1, 20 rounds (degrees up to 3g,
-    genus up to 6): rank_bruteforce 0.38 ms, rank_extremal 0.27 ms.
+    genus up to 6): rank_bruteforce 0.16 ms, rank_extremal 0.22 ms.
 
 rank_bruteforce is cheap while its effectiveness tests keep hitting the
-lattice's cache, but its work grows exponentially with deg(D), under a
-degree budget.  rank_extremal's work grows with the number of extremal
-classes, which is large on dense graphs.
+lattice's cache.  Its scan tests every effective E of degree r, the rank
+(C(r + n, n) of them), and a prefix of each degree from r + 1 to deg(D),
+so its work grows exponentially with the rank, under a budget on deg(D).
+rank_extremal's work grows with the number of extremal classes, which is
+large on dense graphs.
 """
 
 from __future__ import annotations
@@ -116,11 +118,19 @@ def _compositions(total, parts):
 def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
     """Rank straight from the definition.
 
-    Enumerates effective E by ascending degree s = 0, 1, ... and returns
-    s - 1 at the first E with |D - E| empty; that E is the witness.  The
-    search is bounded because any E of degree deg(D) + 1 drives the degree
-    negative.  Budget guards the combinatorial blowup in deg(D); exceeding
-    it raises BudgetExceeded rather than returning a wrong value.
+    Call a degree s full when every effective E of degree s leaves
+    |D - E| nonempty; the rank is the greatest full s, or -1.  Fullness
+    is monotone: if s is full, so is s - 1, because an E of degree s - 1
+    gives D - E = (D - (E + e_0)) + e_0.  So the levels s = deg(D), ..., 0
+    are scanned from the top, each in lexicographic order and only until
+    its first E with |D - E| empty, and the first full level is the rank.
+    The E where the level above it stopped is the witness: the
+    lexicographically least E of degree rank + 1 with |D - E| empty.  No
+    level above deg(D) is full (every E leaves a negative degree), so a
+    full level deg(D) has the witness (0, ..., 0, deg(D) + 1).  Only the
+    level of the rank is scanned in full.  Budget guards the
+    combinatorial blowup in deg(D); exceeding it raises BudgetExceeded
+    rather than returning a wrong value.
     """
     D = as_divisor(D, L.dim)
     d = degree(D)
@@ -129,17 +139,19 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
             "rank_bruteforce: degree %d exceeds budget %d" % (d, budget)
         )
     rD = L.reduce(D)
-    for s in range(d + 1):
+    witness = (0,) * (L.dim - 1) + (max(d + 1, 0),)
+    for s in range(d, -1, -1):
         for E in _compositions(s, L.dim):
             ok, _ = linear_system_nonempty(L, tuple(map(sub, rD, E)),
                                            node_budget)
             if not ok:
-                return RankResult(rank=s - 1, witness=E, method="bruteforce")
-    # every E of degree deg(D) + 1 leaves a negative degree, so the first
-    # of them, (0, ..., 0, s), is the witness
-    s = max(d + 1, 0)
-    return RankResult(rank=s - 1, witness=(0,) * (L.dim - 1) + (s,),
-                      method="bruteforce")
+                witness = E
+                break
+        else:
+            return RankResult(rank=s, witness=witness, method="bruteforce")
+    # no level is full: rank -1, and the witness is the zero divisor
+    # (level 0 stopped at it, or deg(D) < 0 left it as set above)
+    return RankResult(rank=-1, witness=witness, method="bruteforce")
 
 
 def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,

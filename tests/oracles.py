@@ -2,8 +2,11 @@
 
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops) and shares no code with
-src/rrlattice beyond the input types.  Expected values frozen into the
-unit tests were produced by these routines.
+src/rrlattice beyond the input types, except the earlier forms of two
+library algorithms kept as references (is_extremal_linf and
+rank_bruteforce_ascending), which run on the library's own kernels.
+Expected values frozen into the unit tests were produced by these
+routines.
 """
 
 import math
@@ -182,6 +185,38 @@ def naive_rank(rows, D, coeff_bound=10, cap=20):
                 return s
         s += 1
     raise RuntimeError("rank exceeded the oracle cap")
+
+
+def rank_bruteforce_ascending(L, D, budget=24, node_budget=2_000_000):
+    """rank_bruteforce as it was written first, on the library's
+    linear_system_nonempty: enumerate effective E by ascending degree
+    s = 0, 1, ... and return s - 1 at the first E with |D - E| empty;
+    that E is the witness.  Every level below the rank is scanned in
+    full."""
+    from operator import sub
+
+    from rrlattice.core import BudgetExceeded, as_divisor, degree
+    from rrlattice.rank import (RankResult, _compositions,
+                                linear_system_nonempty)
+
+    D = as_divisor(D, L.dim)
+    d = degree(D)
+    if d > budget:
+        raise BudgetExceeded(
+            "rank_bruteforce: degree %d exceeds budget %d" % (d, budget)
+        )
+    rD = L.reduce(D)
+    for s in range(d + 1):
+        for E in _compositions(s, L.dim):
+            ok, _ = linear_system_nonempty(L, tuple(map(sub, rD, E)),
+                                           node_budget)
+            if not ok:
+                return RankResult(rank=s - 1, witness=E, method="bruteforce")
+    # every E of degree deg(D) + 1 leaves a negative degree, so the first
+    # of them, (0, ..., 0, s), is the witness
+    s = max(d + 1, 0)
+    return RankResult(rank=s - 1, witness=(0,) * (L.dim - 1) + (s,),
+                      method="bruteforce")
 
 
 def naive_h_distance(rows, q, coeff_bound=6):

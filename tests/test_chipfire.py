@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,15 @@ def test_configuration_validation(k3):
     assert cfg.degree == 3
     assert cfg.is_effective
     assert not Configuration(k3, (-1, 1, 1)).is_effective
+
+
+def test_chips_must_be_integers(k3):
+    # (1.5, 0, 0) was stored as (1, 0, 0), which winnable then cleared
+    with pytest.raises(ValueError):
+        Configuration(k3, (1.5, 0, 0))
+    cfg = Configuration(k3, (2.0, Fraction(-2, 2), 0))
+    assert cfg.chips == (2, -1, 0)
+    assert all(type(c) is int for c in cfg.chips)
 
 
 def test_fire_frozen(k3, m322):

@@ -37,6 +37,15 @@ def test_constructor_validation():
     assert L.n == 2 and L.dim == 3
 
 
+def test_basis_rows_must_be_integers():
+    # not truncated to the rows ((1, -1, 0), (0, 1, -1))
+    with pytest.raises(ValueError):
+        LatticeBasis([(1.5, -1.5, 0), (0, 1, -1)])
+    L = LatticeBasis([(2.0, Fraction(-4, 2), 0), (0, 1, -1)])
+    assert L.rows == ((2, -2, 0), (0, 1, -1))
+    assert all(type(x) is int for r in L.rows for x in r)
+
+
 def test_degree_helpers():
     assert degree((3, -1, 2)) == 4
     assert deg_plus((3, -1, 2)) == 5

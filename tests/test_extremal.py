@@ -22,6 +22,15 @@ def test_permutation_type():
         Permutation((0, 0, 1))
 
 
+def test_permutation_entries_must_be_integers():
+    # (0, 1.7, 2) was accepted as (0, 1, 2)
+    with pytest.raises(ValueError):
+        Permutation((0, 1.7, 2))
+    pi = Permutation((0, 2.0, Fraction(2, 2)))
+    assert pi.images == (0, 2, 1)
+    assert all(type(x) is int for x in pi)
+
+
 def test_nu_matches_closed_form(m322):
     Q = m322.laplacian_rows()
     for pi in Permutation.all_orders(3):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrlattice import rank as rank_module
 from rrlattice.core import BudgetExceeded, LatticeBasis, degree
 from rrlattice.extremal import extremal_set_general, extremal_set_graphical
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
@@ -16,6 +18,7 @@ from rrlattice.rank import (_compositions, default_divisor_samples,
                             verify_weak_rr)
 
 import oracles
+from conftest import corpus_graphs
 
 
 def test_linear_system_nonempty(k3_lattice):
@@ -283,3 +286,46 @@ def test_compositions_match_the_recursive_oracle():
         for parts in range(1, 7):
             assert list(_compositions(total, parts)) == \
                 list(oracles._compositions(total, parts)), (total, parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _bruteforce_cases():
+    """(lattice, genus) for every corpus Laplacian, both NONUNIFORM
+    digraphs (upper genus) and one rank-3 lattice (upper genus)."""
+    cases = [(laplacian_lattice(G), G.genus) for _, G in corpus_graphs()]
+    for G in NONUNIFORM:
+        cases.append((laplacian_lattice(G), extremal_set_graphical(G).g_max))
+    L = LatticeBasis(RANK3_LATTICES[0])
+    cases.append((L, extremal_set_general(L).g_max))
+    return tuple(cases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_bruteforce_matches_the_ascending_scan(data):
+    cases = _bruteforce_cases()
+    L, g = cases[data.draw(st.integers(0, len(cases) - 1))]
+    d = data.draw(st.integers(-3, 3 * g))
+    body = [data.draw(st.integers(-g - 1, g + 1)) for _ in range(L.dim - 1)]
+    D = tuple(body) + (d - sum(body),)
+    r = rank_bruteforce(L, D, budget=40)
+    ref = oracles.rank_bruteforce_ascending(L, D, budget=40)
+    assert (r.rank, r.witness) == (ref.rank, ref.witness), D
+
+
+def test_rank_bruteforce_scans_one_level_in_full(monkeypatch):
+    # K5, g = 6, deg D = 18, rank 12: only level 12 is scanned in full, so
+    # no tested divisor D - E has degree above 18 - 12; the ascending scan
+    # tests every E of degree 0..13 (6,321 tests, up to degree 18)
+    L = laplacian_lattice(Multigraph.complete(5))
+    tested = []
+
+    def spy(L, D, node_budget=2_000_000):
+        tested.append(degree(D))
+        return linear_system_nonempty(L, D, node_budget)
+
+    monkeypatch.setattr(rank_module, "linear_system_nonempty", spy)
+    r = rank_bruteforce(L, (4, 4, 4, 3, 3), budget=40)
+    assert (r.rank, r.witness) == (12, (0, 1, 2, 2, 8))
+    assert max(tested) <= 6
+    assert len(tested) <= 1991
