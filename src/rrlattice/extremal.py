@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
-from .geometry import is_extremal, verify_critical
+from .geometry import is_extremal, sigma_contains, verify_critical
 from .graphs import RegularDigraph, laplacian_lattice
 
 
@@ -217,56 +217,40 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
                        q_rows=tuple(tuple(r) for r in Q))
 
 
-def _covering_upper_bound(L: LatticeBasis) -> Fraction:
-    """A sound upper bound on the covering radius of L.
-
-    Corner bound: every point translates into the fundamental
-    parallelepiped of the HNF rows, and the distance to the origin at any
-    point of that parallelepiped is at most the max over its corners of
-    the max coordinate (convexity of the max).  Independently, the index
-    V of L makes V * (full zero-sum lattice) a sub-lattice of L, whose
-    covering radius is V*n/(n+1).
-    """
-    n = L.n
-    best = Fraction(0)
-    for subset in itertools.product((0, 1), repeat=n):
-        corner = [0] * L.dim
-        for take, row in zip(subset, L.hnf):
-            if take:
-                for j in range(L.dim):
-                    corner[j] += row[j]
-        best = max(best, Fraction(max(corner)))
-    index_bound = Fraction(L.picard_cardinality() * n, n + 1)
-    return min(best, index_bound)
-
-
 def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
-    """Extremal classes by direct degree-band scan; intended for n <= 3.
+    """Extremal classes by a descending degree scan; intended for n <= 3.
 
-    Any minimal element of Sigma has degree in [1 - g_upper, n]: its
-    degree is (n+1)(1 - h) for the height h of the matching critical
-    point, with 1/(n+1) <= h <= Cov(L), and g_upper = (n+1)*Cov_ub - n for
-    a sound covering bound Cov_ub.  Scanning one canonical representative
-    per class and degree decides everything, since minimality is
-    invariant under lattice translation.  The index times band-width
-    class tests are charged against node_budget before the scan.
+    Every point of positive degree is in Sigma, and a minimal v needs
+    every v - e_i outside it, so an extremal point has degree at most 1.
+    Sigma is a union of classes (D is in it exactly when the class of -D
+    holds no effective divisor) and is closed upwards, so once a degree
+    level holds no point of Sigma no lower level does.  The scan therefore
+    walks the levels d = 1, 0, -1, ... with one canonical representative
+    per class, keeps the representatives in Sigma, tests those for
+    minimality (invariant under lattice translation), and stops at the
+    first level with none in Sigma, which is level -g_max.  Each level
+    charges its index many class tests against node_budget before it is
+    walked.
     """
     if L.n > 3:
         raise BudgetExceeded("general extremal scan is limited to n <= 3")
-    cov_ub = _covering_upper_bound(L)
-    g_upper = (L.n + 1) * cov_ub - L.n
-    floor = 1 - int(g_upper)
-    tests = L.picard_cardinality() * (L.n - floor + 1)
-    if tests > node_budget:
-        raise BudgetExceeded("extremal scan: %d class tests exceed the node "
-                             "budget %d" % (tests, node_budget))
+    index = L.picard_cardinality()
+    tests = 0
     found = []
-    for d in range(L.n, floor - 1, -1):
-        for rep in L.class_representatives(d):
-            if is_extremal(L, rep, node_budget):
-                found.append(rep)
+    for d in itertools.count(1, -1):
+        tests += index
+        if tests > node_budget:
+            raise BudgetExceeded("extremal scan: %d class tests exceed the "
+                                 "node budget %d" % (tests, node_budget))
+        level = [rep for rep in L.class_representatives(d)
+                 if sigma_contains(L, rep, node_budget)]
+        if not level:
+            break
+        found.extend(rep for rep in level
+                     if is_extremal(L, rep, node_budget))
     if not found:
-        raise RuntimeError("scan found no extremal classes; bound bug?")
+        raise RuntimeError("scan found no extremal classes; lattice input "
+                           "invalid?")
     classes = _group_into_classes(L, found)
     return ExtremalSet(lattice=L, classes=classes, source="scan")
 

@@ -14,6 +14,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,11 +270,17 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
     radius t around lattice points and up-simplices of radius Cov - t
     around critical translates).  The window is the visible radius in
     chart units; if the cell of the origin does not fit, the SVG carries a
-    warning annotation instead of silently clipping.
+    warning annotation instead of silently clipping.  A window that is not
+    positive, or a scale that is not finite and positive, raises
+    ValueError.
     """
     if L.n != 2:
         raise ValueError("SVG rendering is for rank-2 lattices only")
     window = Fraction(window)
+    if window <= 0:
+        raise ValueError("window must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and positive")
     layers = frozenset(layers)
     unknown = layers - {"lattice", "critical", "voronoi", "arrangement"}
     if unknown:

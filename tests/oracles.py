@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of two
-library algorithms kept as references (is_extremal_linf and
-rank_bruteforce_ascending), which run on the library's own kernels.
+src/rrlattice beyond the input types, except the earlier forms of three
+library algorithms kept as references (is_extremal_linf,
+rank_bruteforce_ascending and extremal_set_band_scan), which run on the
+library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
 """
@@ -332,6 +333,65 @@ def is_extremal_linf(L, v, node_budget=2_000_000):
                           node_budget):
             return False
     return True
+
+
+def _covering_upper_bound(L):
+    """A sound upper bound on the covering radius of L.
+
+    Corner bound: every point translates into the fundamental
+    parallelepiped of the HNF rows, and the distance to the origin at any
+    point of that parallelepiped is at most the max over its corners of
+    the max coordinate (convexity of the max).  Independently, the index
+    V of L makes V * (full zero-sum lattice) a sub-lattice of L, whose
+    covering radius is V*n/(n+1).
+    """
+    n = L.n
+    best = Fraction(0)
+    for subset in product((0, 1), repeat=n):
+        corner = [0] * L.dim
+        for take, row in zip(subset, L.hnf):
+            if take:
+                for j in range(L.dim):
+                    corner[j] += row[j]
+        best = max(best, Fraction(max(corner)))
+    index_bound = Fraction(L.picard_cardinality() * n, n + 1)
+    return min(best, index_bound)
+
+
+def extremal_set_band_scan(L, node_budget=2_000_000):
+    """The degree-band scan that served as the library's bare-lattice
+    extremal enumeration, on the library's is_extremal.
+
+    Any minimal element of Sigma has degree in [1 - g_upper, n]: its
+    degree is (n+1)(1 - h) for the height h of the matching critical
+    point, with 1/(n+1) <= h <= Cov(L), and g_upper = (n+1)*Cov_ub - n for
+    a sound covering bound Cov_ub.  Scanning one canonical representative
+    per class and degree decides everything, since minimality is
+    invariant under lattice translation.  The index times band-width
+    class tests are charged against node_budget before the scan.
+    """
+    from rrlattice.core import BudgetExceeded
+    from rrlattice.extremal import ExtremalSet, _group_into_classes
+    from rrlattice.geometry import is_extremal
+
+    if L.n > 3:
+        raise BudgetExceeded("general extremal scan is limited to n <= 3")
+    cov_ub = _covering_upper_bound(L)
+    g_upper = (L.n + 1) * cov_ub - L.n
+    floor = 1 - int(g_upper)
+    tests = L.picard_cardinality() * (L.n - floor + 1)
+    if tests > node_budget:
+        raise BudgetExceeded("extremal scan: %d class tests exceed the node "
+                             "budget %d" % (tests, node_budget))
+    found = []
+    for d in range(L.n, floor - 1, -1):
+        for rep in L.class_representatives(d):
+            if is_extremal(L, rep, node_budget):
+                found.append(rep)
+    if not found:
+        raise RuntimeError("scan found no extremal classes; bound bug?")
+    classes = _group_into_classes(L, found)
+    return ExtremalSet(lattice=L, classes=classes, source="scan")
 
 
 def canonical_edge_key(k, edges):

@@ -175,6 +175,17 @@ def test_render_subcommand(files, capsys):
     assert svg.startswith("<svg") and "</svg>" in svg
 
 
+@pytest.mark.parametrize("option", [["--window", "0"], ["--window", "-1"],
+                                    ["--scale", "-5"], ["--scale", "nan"],
+                                    ["--scale", "inf"]])
+def test_render_rejects_degenerate_window_and_scale(files, capsys, option):
+    # a zero or negative viewBox, or nan coordinates, is not an SVG
+    code = main(["render", "--lattice", files["mt"]] + option)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:"), captured.err
+    assert "<svg" not in captured.out
+
+
 def test_json_deterministic(files, capsys):
     _, a = run(capsys, "extremals", "--graph", files["m322"],
                "--format", "json")

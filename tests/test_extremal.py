@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rrlattice.core import LatticeBasis, degree
+from rrlattice.a2 import random_a2_lattice
+from rrlattice.core import BudgetExceeded, LatticeBasis, degree
 from rrlattice.extremal import (ExtremalSet, Permutation, canonical_point,
                                 classify, extremal_set_general,
                                 extremal_set_graphical, nu_of_permutation,
@@ -12,6 +13,7 @@ from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               laplacian_lattice)
 
 import oracles
+from test_rank import NONUNIFORM
 
 
 def test_permutation_type():
@@ -120,6 +122,58 @@ def test_skew56_scan(skew56_lattice):
     K = canonical_point(ex, L)
     assert degree(K) == 24
     assert L.reduce(K) == L.reduce((9, 9, 6))
+
+
+def _random_rank3_lattice(rng):
+    while True:
+        rows = []
+        for _ in range(3):
+            v = [rng.randint(-3, 3) for _ in range(3)]
+            rows.append(tuple(v) + (-sum(v),))
+        try:
+            L = LatticeBasis(rows)
+        except ValueError:
+            continue
+        if L.picard_cardinality() <= 40:
+            return L
+
+
+def test_scan_matches_band_scan_oracle(skew56_lattice):
+    # the descending scan stops at the first level without a point of
+    # Sigma; the oracle walks the whole band under a covering bound
+    rng = random.Random(10)
+    a2 = [random_a2_lattice(rng) for _ in range(40)]
+    rank3 = [_random_rank3_lattice(rng) for _ in range(20)]
+    digraphs = [laplacian_lattice(G) for G in NONUNIFORM]
+    nonuniform = 0
+    for L in a2 + rank3 + digraphs + [skew56_lattice]:
+        a = extremal_set_general(L)
+        b = oracles.extremal_set_band_scan(L)
+        assert a.classes == b.classes, L.hnf
+        assert (a.g_min, a.g_max) == (b.g_min, b.g_max), L.hnf
+        nonuniform += not a.uniform
+    assert nonuniform >= 10
+
+
+def test_scan_walks_levels_one_to_minus_g_max(skew56_lattice, monkeypatch):
+    # index 56 and g_max 13: levels 1 down to -12 hold extremal points and
+    # level -13 holds no point of Sigma, so the scan costs 15 * 56 class
+    # tests where the covering band took 6,272
+    L = skew56_lattice
+    expected = extremal_set_general(L)
+    requested = []
+    walk = LatticeBasis.class_representatives
+
+    def spy(self, deg):
+        requested.append(deg)
+        return walk(self, deg)
+
+    monkeypatch.setattr(LatticeBasis, "class_representatives", spy)
+    assert extremal_set_general(L) == expected
+    assert requested == list(range(1, -14, -1))
+    assert extremal_set_general(L, node_budget=1000) == expected
+    with pytest.raises(BudgetExceeded, match="504 class tests"):
+        extremal_set_general(L, node_budget=500)
 
 
 def test_reflection_pairing_k3(k3_extremal, k3_lattice):

@@ -171,6 +171,15 @@ def test_svg_render(m322_lattice, m322_extremal, k3_lattice, k3_extremal):
                                     (0, 0, 1, -1)]))
 
 
+@pytest.mark.parametrize("window, scale", [(0, 40), (-1, 40), (4, -5),
+                                           (4, 0), (4, float("nan")),
+                                           (4, float("inf"))])
+def test_svg_render_rejects_degenerate_window_and_scale(k3_lattice, window,
+                                                        scale):
+    with pytest.raises(ValueError):
+        svg_render_2d(k3_lattice, window=window, layers=(), scale=scale)
+
+
 @st.composite
 def lattice_and_point(draw):
     """A rank-2 or rank-3 lattice of index <= 30 and a point of degree
