@@ -197,11 +197,9 @@ def _cmd_classify(args):
 
 
 def _cmd_verify_rr(args):
-    L, extremal, K_graph, _ = _lattice_and_extremal(args)
-    if extremal.reflection_vector is None:
-        raise ValueError("lattice is not reflection invariant; "
-                         "no canonical point to verify against")
-    K = K_graph if K_graph is not None else canonical_point(extremal, L)
+    L, extremal, K, _ = _lattice_and_extremal(args)
+    if K is None:  # a multigraph's K needs no reflection search
+        K = canonical_point(extremal, L)
     if extremal.uniform:
         report = verify_riemann_roch(L, extremal, K, seed=args.seed,
                                      method=args.method,
@@ -320,7 +318,6 @@ def _cmd_render(args):
 
 def _add_common(p, graph=False, lattice=False, either=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="search-node budget for lattice enumerations")
     if either:
@@ -372,6 +369,7 @@ def build_parser():
     p.add_argument("--method", choices=("extremal", "bruteforce", "both"),
                    default="extremal")
     p.add_argument("--rank-budget", type=int, default=24)
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.set_defaults(func=_cmd_verify_rr)
 
     p = sub.add_parser("picard", help="Picard group cardinality and factors")

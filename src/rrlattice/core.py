@@ -144,29 +144,6 @@ def _hnf_rows(rows):
     return [tuple(r) for r in m[:rank]], pivots
 
 
-def _bareiss_det(mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    a = [list(r) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def solve_rational(M, b):
     """Exact solution x of M x = b by Gauss-Jordan elimination.
 
@@ -188,68 +165,6 @@ def solve_rational(M, b):
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[col])]
     return [A[i][k] for i in range(k)]
-
-
-def smith_invariant_factors(mat):
-    """Invariant factors d1 | d2 | ... of a square integer matrix.
-
-    Plain textbook reduction; fine for the small matrices handled here.
-    Zero factors are kept (they indicate rank deficiency).
-    """
-    a = [list(r) for r in mat]
-    n = len(a)
-    factors = []
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    for t in range(n):
-        while True:
-            pos = find_pivot(t)
-            if pos is None:
-                factors.append(0)
-                break
-            i, j = pos
-            a[t], a[i] = a[i], a[t]
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                q = a[i][t] // piv
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // piv
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry for true SNF
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % piv != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[bad])]
-                continue
-            factors.append(abs(piv))
-            break
-    return factors
 
 
 class LatticeBasis:
@@ -370,38 +285,35 @@ class LatticeBasis:
 
     # -- group invariants ----------------------------------------------------
 
-    def zero_sum_coord_matrix(self):
-        """Rows rewritten over the standard zero-sum basis e_i - e_(i+1).
-
-        The coefficient of e_i - e_(i+1) is the i-th prefix sum.
-        """
-        out = []
-        for r in self.rows:
-            acc = 0
-            pref = []
-            for x in r[:-1]:
-                acc += x
-                pref.append(acc)
-            out.append(pref)
-        return out
-
     def picard_cardinality(self) -> int:
-        """Index of the lattice inside the full zero-sum lattice."""
-        if "pic" not in self._caches:
-            det = _bareiss_det(self.zero_sum_coord_matrix())
-            self._caches["pic"] = abs(det)
-        return self._caches["pic"]
+        """Index of the lattice inside the full zero-sum lattice.
+
+        Dropping the last coordinate maps the zero-sum lattice onto Z^n
+        and this lattice onto the row span of the HNF's n x n pivot
+        block, which is triangular, so the index is the pivot product.
+        """
+        return math.prod(self._pivot_entries)
 
     def picard_factors(self):
         """Cyclic factors of the quotient group, ascending divisibility.
 
         Trivial factors (= 1) are dropped; an empty tuple means the
-        quotient is trivial.
+        quotient is trivial.  The quotient is Z^n modulo the rows of the
+        pivot block (see picard_cardinality).  Column and row HNFs of the
+        block alternate until the (upper triangular) block is diagonal;
+        each pass lowers the first remaining pivot or clears its row and
+        column.  A gcd/lcm sweep turns the diagonal into invariant factors.
         """
-        if "snf" not in self._caches:
-            fac = smith_invariant_factors(self.zero_sum_coord_matrix())
-            self._caches["snf"] = tuple(f for f in fac if f != 1)
-        return self._caches["snf"]
+        block = [row[:self.n] for row in self.hnf]
+        while any(any(row[i + 1:]) for i, row in enumerate(block)):
+            block = list(zip(*_hnf_rows(zip(*block))[0]))
+            block = _hnf_rows(block)[0]
+        diag = [block[i][i] for i in range(self.n)]
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                g = math.gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+        return tuple(f for f in diag if f != 1)
 
     # -- class representatives -------------------------------------------------
 

@@ -218,7 +218,7 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
 
 
 def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
-    """Extremal classes by a descending degree scan; intended for n <= 3.
+    """Extremal classes by a descending degree scan, for any rank.
 
     Every point of positive degree is in Sigma, and a minimal v needs
     every v - e_i outside it, so an extremal point has degree at most 1.
@@ -232,8 +232,6 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     charges its index many class tests against node_budget before it is
     walked.
     """
-    if L.n > 3:
-        raise BudgetExceeded("general extremal scan is limited to n <= 3")
     index = L.picard_cardinality()
     tests = 0
     found = []

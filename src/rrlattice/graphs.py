@@ -9,7 +9,7 @@ import itertools
 import json
 from typing import Iterable, Sequence
 
-from .core import BudgetExceeded, LatticeBasis, _bareiss_det, as_ints
+from .core import BudgetExceeded, LatticeBasis, as_ints
 
 
 def _multiplicities(rows, k):
@@ -238,10 +238,9 @@ def canonical_divisor(G):
 
 
 def spanning_tree_count(G: Multigraph) -> int:
-    """Exact spanning tree count via the reduced-Laplacian determinant."""
-    rows = G.laplacian_rows()
-    reduced = [row[1:] for row in rows[1:]]
-    return abs(_bareiss_det(reduced))
+    """Exact spanning tree count: by the matrix-tree theorem it is a
+    reduced-Laplacian determinant, the order of Pic^0(G)."""
+    return laplacian_lattice(G).picard_cardinality()
 
 
 def acyclic_orientations_unique_source(G: Multigraph, source: int = 0) -> int:
@@ -295,7 +294,7 @@ def cyclic_order_count(G: Multigraph) -> int:
     """
     k = G.vertex_count
     if k > 8:
-        raise BudgetExceeded("factorial enumeration limited to 7 vertices")
+        raise BudgetExceeded("factorial enumeration limited to 8 vertices")
     last = k - 1
 
     def normalize(word):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (BudgetExceeded, LatticeBasis, _bareiss_det, as_fraction,
+from .core import (BudgetExceeded, LatticeBasis, _hnf_rows, as_fraction,
                    solve_rational)
 
 __all__ = [
@@ -49,13 +49,13 @@ class RationalSimplex:
         if any(len(v) != dim for v in verts):
             raise ValueError("inconsistent vertex dimensions")
         # edge rows scaled by the lcm of their denominators: an integer
-        # matrix whose determinant is zero exactly when the simplex's is
+        # matrix of rank dim exactly when the simplex is not degenerate
         edges = []
         for i in range(1, dim + 1):
             row = [verts[i][j] - verts[0][j] for j in range(dim)]
             den = math.lcm(*(x.denominator for x in row))
             edges.append([int(x * den) for x in row])
-        if _bareiss_det(edges) == 0:
+        if len(_hnf_rows(edges)[0]) < dim:
             raise ValueError("degenerate simplex: vertices affinely dependent")
         self.vertices = verts
 

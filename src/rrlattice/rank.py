@@ -239,6 +239,27 @@ def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
     return samples
 
 
+def _charge_samples(L, extremal, D_samples, node_budget):
+    """D_samples as a list (None stays None) once their ranks fit the budget.
+
+    Each sample takes two ranks, and an extremal rank makes one coset
+    search per extremal class, so 2 * samples * classes searches are
+    charged against node_budget.  The default samples, every class of
+    degree 0 .. 2g - 2 plus 50 random divisors, are counted, not built.
+    """
+    if D_samples is None:
+        count = L.picard_cardinality() * max(2 * extremal.g_max - 1, 1) + 50
+    else:
+        D_samples = list(D_samples)
+        count = len(D_samples)
+    searches = 2 * count * extremal.class_count
+    if searches > node_budget:
+        raise BudgetExceeded("sample check: %d samples need %d coset "
+                             "searches, over the node budget %d"
+                             % (count, searches, node_budget))
+    return D_samples
+
+
 def _check_samples(L, extremal, K, D_samples, seed, method, budget,
                    node_budget, violation):
     """Run violation(D, rank(D), rank(K - D)) over the sample divisors.
@@ -278,6 +299,7 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
     """
     if not extremal.uniform:
         raise ValueError("Riemann-Roch equality requires a uniform lattice")
+    D_samples = _charge_samples(L, extremal, D_samples, node_budget)
     _, pairing = reflection_pairing(extremal, L)
     if pairing is None:
         raise ValueError("Riemann-Roch equality requires reflection invariance")
@@ -334,6 +356,7 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
     rank(K - D) - rank(D) >= g_min - degree(D) - 1 is asserted as well.
     Returns a JSON-ready report listing violations.
     """
+    D_samples = _charge_samples(L, extremal, D_samples, node_budget)
     _, pairing = reflection_pairing(extremal, L)
     if pairing is None:
         raise ValueError("weak Riemann-Roch requires reflection invariance")

@@ -36,7 +36,7 @@ def element_order_scan(rows, v):
     """Least t >= 1 with t*v in the row span, by trying t = 1, 2, ... up
     to the index; None if none works.  The rows are zero-sum, so the index
     is |det| of the rows without their last column."""
-    index = abs(int(sympy.Matrix([list(r[:-1]) for r in rows]).det()))
+    index = sympy_index(rows)
     for t in range(1, index + 1):
         if index % t == 0 and lattice_member(rows, [t * x for x in v]):
             return t
@@ -71,6 +71,23 @@ def sympy_hnf(rows):
     M = sympy.Matrix([list(r) for r in rows])
     H = hermite_normal_form(M.T)
     return H.T.tolist()
+
+
+def sympy_index(rows):
+    """|det| of the zero-sum rows without their last column: the index of
+    their span inside the zero-sum lattice."""
+    return abs(int(sympy.Matrix([list(r[:-1]) for r in rows]).det()))
+
+
+def sympy_tree_count(G):
+    """Spanning trees of G by the matrix-tree theorem: the determinant of
+    the Laplacian without its first row and column."""
+    Q = G.laplacian_rows()
+    return int(sympy.Matrix([list(r[1:]) for r in Q[1:]]).det())
+
+
+def sympy_rank(rows):
+    return sympy.Matrix([list(r) for r in rows]).rank()
 
 
 def sympy_invariant_factors(rows):

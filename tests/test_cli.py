@@ -316,6 +316,41 @@ def test_extremal_enumerations_stop_at_the_budget(contract_files, capsys,
     assert capsys.readouterr().err.startswith("resource budget exceeded:")
 
 
+def test_verify_rr_refuses_an_over_budget_sample_plan(tmp_path, capsys):
+    # K7: 16,807 classes in each of 29 degrees plus 50 random divisors,
+    # two ranks each over 720 classes; refused before any rank, where the
+    # whole check would take hours
+    path = tmp_path / "k7.json"
+    path.write_text(json.dumps(
+        {"vertices": 7, "edges": [[i, j, 1] for i in range(7)
+                                  for j in range(i + 1, 7)]}))
+    start = time.perf_counter()
+    code = main(["verify-rr", "--graph", str(path), "--budget", "100000"])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "resource budget exceeded: sample check: 487453 samples")
+
+
+def test_extremals_on_a_rank_four_lattice(tmp_path, capsys):
+    # the K5 Laplacian lattice; the bare scan used to stop at rank 3
+    path = tmp_path / "k5.txt"
+    path.write_text("5\n" + "".join(
+        " ".join("4" if i == j else "-1" for j in range(5)) + "\n"
+        for i in range(4)))
+    code, out = run(capsys, "extremals", "--lattice", str(path))
+    assert code == 0
+    assert out.startswith("critical classes: 24\n")
+
+
+def test_seed_is_an_option_of_verify_rr_only(files, capsys):
+    code, out = run(capsys, "verify-rr", "--graph", files["m322"],
+                    "--seed", "3")
+    assert code == 0 and "ok: True" in out
+    assert main(["genus", "--graph", files["m322"], "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_fractional_multiplicity_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(json.dumps(

@@ -93,6 +93,14 @@ def test_picard_factors_match_sympy_snf():
         for f in L.picard_factors():
             card *= f
         assert card == L.picard_cardinality() == picard_cardinality(L)
+    # every rank from 1 to 6, against sympy's Smith form and determinant
+    rng = random.Random(2026)
+    for dim in range(2, 8):
+        for _ in range(20):
+            L = random_basis(rng, dim)
+            assert list(L.picard_factors()) == \
+                oracles.sympy_invariant_factors(L.rows), L.rows
+            assert L.picard_cardinality() == oracles.sympy_index(L.rows)
 
 
 def test_class_representatives_enumerate_picard(k3_lattice, m322_lattice):

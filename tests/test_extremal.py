@@ -10,7 +10,8 @@ from rrlattice.extremal import (ExtremalSet, Permutation, canonical_point,
                                 extremal_set_graphical, nu_of_permutation,
                                 reflection_pairing, voronoi_cell_vertices)
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
-                              laplacian_lattice)
+                              connected_simple_graphs, laplacian_lattice,
+                              random_connected_multigraph)
 
 import oracles
 from test_rank import NONUNIFORM
@@ -107,6 +108,24 @@ def test_scan_route_matches_graphical(k3, p3, m322):
         assert sorted(L.reduce(r) for r in a.representatives) == \
             sorted(L.reduce(r) for r in b.representatives)
         assert (a.g_min, a.g_max) == (b.g_min, b.g_max)
+
+
+def test_scan_matches_graphical_at_rank_four_and_five():
+    # the scan has no rank limit; its (class, degree) pairs are those of
+    # the order enumeration on every 5-vertex simple graph and on seeded
+    # 6-vertex multigraphs
+    rng = random.Random(6)
+    graphs = list(connected_simple_graphs(5))
+    while len(graphs) < 27:
+        G = random_connected_multigraph(rng, 6, 8)
+        if G.vertex_count == 6:
+            graphs.append(G)
+    for G in graphs:
+        L = laplacian_lattice(G)
+        pairs = [sorted((L.reduce(c.representative), c.degree)
+                        for c in ex.classes)
+                 for ex in (extremal_set_general(L), extremal_set_graphical(G))]
+        assert pairs[0] == pairs[1], G
 
 
 def test_skew56_scan(skew56_lattice):

@@ -8,6 +8,8 @@ from rrlattice.geometry import sigma_contains
 from rrlattice.hardness import (RationalSimplex, reduce_simplex_to_membership,
                                 simplex_has_integer_point)
 
+import oracles
+
 
 def F(s):
     return Fraction(s)
@@ -24,6 +26,27 @@ def test_simplex_validation():
     S = RationalSimplex(((0, 0), (1, 0), (0, 1)))
     assert S.dim == 2
     assert S.centroid() == (F("1/3"), F("1/3"))
+
+
+def test_degenerate_exactly_when_edges_lose_rank():
+    # sympy's rank of the edge vectors v_i - v_0 is the reference
+    rng = random.Random(31)
+    degenerate = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        verts = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                  for _ in range(dim)] for _ in range(dim + 1)]
+        if rng.random() < 0.3:  # a vertex at the middle of an edge
+            verts[-1] = [(x + y) / 2 for x, y in zip(verts[0], verts[-2])]
+        edges = [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+        flat = oracles.sympy_rank(edges) < dim
+        degenerate += flat
+        if flat:
+            with pytest.raises(ValueError, match="degenerate"):
+                RationalSimplex(verts)
+        else:
+            assert RationalSimplex(verts).dim == dim
+    assert 50 <= degenerate <= 250
 
 
 def test_containment_closed():

@@ -153,6 +153,39 @@ def test_default_samples_deterministic(m322_lattice, m322_extremal):
     assert a != c
 
 
+def test_sample_check_is_charged_before_any_rank(m322_lattice, m322_extremal,
+                                                 monkeypatch):
+    # two ranks per sample, one coset search per class each; the default
+    # plan is the 16 classes of each degree 0 .. 8 plus 50 random divisors,
+    # and it is counted without being built
+    count = len(default_divisor_samples(m322_lattice, m322_extremal))
+    assert count == 16 * 9 + 50
+    calls = []
+
+    def no_samples(*args):
+        calls.append("samples")
+        return []
+
+    monkeypatch.setattr(rank_module, "_rank",
+                        lambda *args: calls.append("rank"))
+    monkeypatch.setattr(rank_module, "default_divisor_samples", no_samples)
+    classes = m322_extremal.class_count
+    searches = 2 * count * classes
+    for verify in (verify_riemann_roch, verify_weak_rr):
+        with pytest.raises(BudgetExceeded, match="194 samples need %d coset"
+                           % searches):
+            verify(m322_lattice, m322_extremal, (3, 3, 2),
+                   node_budget=searches - 1)
+        with pytest.raises(BudgetExceeded, match="3 samples"):
+            verify(m322_lattice, m322_extremal, (3, 3, 2),
+                   D_samples=[(1, 0, 0)] * 3, node_budget=6 * classes - 1)
+        assert calls == []
+        assert verify(m322_lattice, m322_extremal, (3, 3, 2),
+                      node_budget=searches)["checked"] == 0
+        assert calls == ["samples"]
+        calls.clear()
+
+
 @pytest.mark.parametrize("D", [(0.9, 0.9, 0.9), (1, 1), (1, 1, 1, 1)])
 def test_divisors_are_validated(k3_lattice, k3_extremal, D):
     # a non-integral entry used to be truncated, a short divisor to be
