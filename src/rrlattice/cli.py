@@ -30,8 +30,8 @@ from .graphs import (Multigraph, canonical_divisor, graph_from_text,
                      laplacian_lattice)
 from .extremal import (canonical_point, classify, extremal_set_general,
                        extremal_set_graphical)
-from .rank import rank_bruteforce, rank_extremal, verify_riemann_roch, \
-    verify_weak_rr
+from .rank import _charge_samples, rank_bruteforce, rank_extremal, \
+    verify_riemann_roch, verify_weak_rr
 from .a2 import classify_a2, digraph_basis
 from .chipfire import Configuration, winnable
 from .hardness import (RationalSimplex, reduce_simplex_to_membership,
@@ -198,6 +198,9 @@ def _cmd_classify(args):
 
 def _cmd_verify_rr(args):
     L, extremal, K, _ = _lattice_and_extremal(args)
+    # the verifiers charge the default sample plan too; charging it here
+    # refuses an over-budget plan before the reflection search below
+    _charge_samples(L, extremal, None, args.budget)
     if K is None:  # a multigraph's K needs no reflection search
         K = canonical_point(extremal, L)
     if extremal.uniform:

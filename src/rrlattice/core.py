@@ -208,6 +208,9 @@ class LatticeBasis:
         # columns 0..n-1 and the free column is n.
         assert self.free_col == self.n
         self._pivot_entries = tuple(self.hnf[i][pivots[i]] for i in range(self.n))
+        # row i of the HNF past its pivot, up to the free column: what the
+        # coset walk adds to the unfixed coordinates per multiple of row i
+        self._tails = tuple(row[i + 1:self.n] for i, row in enumerate(self.hnf))
         self._caches = {}
 
     # -- basics ------------------------------------------------------------
@@ -412,6 +415,11 @@ class LatticeBasis:
         coordinate i = v then needs |v| + |R - v| = max(|R|, |2v - R|) <=
         bound - (norm so far).  Under max every unfixed coordinate is at
         most the bound, so R - (n - i) * bound <= v <= bound.
+
+        The pivots and row tails the walk steps by are built once per
+        lattice, in __init__; only a walk with scale != 1 (the rational
+        bases of coset_min_max_coord and iter_coset_in_bounds) scales a
+        copy of them.
         """
         n = self.n
         l1 = objective == "l1"
@@ -419,9 +427,11 @@ class LatticeBasis:
         if box:
             los, his = cap
             flo, fhi = los[n], his[n]
-        pivs = [scale * row[i] for i, row in enumerate(self.hnf)]
-        tails = [tuple(scale * x for x in row[i + 1:n])
-                 for i, row in enumerate(self.hnf)]
+        pivs = self._pivot_entries
+        tails = self._tails
+        if scale != 1:
+            pivs = [scale * p for p in pivs]
+            tails = [tuple(scale * x for x in t) for t in tails]
         # The walk keeps one frame per level i: rests[i] holds coordinates
         # i..n-1 so far, accs[i] the l1 norm (or max) of coordinates 0..i-1
         # (unused by box), sums[i] what coordinates i..n must still sum to,

@@ -134,9 +134,24 @@ class ExtremalSet:
     @cached_property
     def _reflection_list(self):
         """Every (t, pairing) with -Crit = Crit + t modulo the lattice,
-        sorted by t; see _reflections."""
-        frac = self.lattice.fractional_part
-        return _reflections([frac(c) for c in self.critical_points()], frac)
+        sorted by t; see _reflections.
+
+        The search runs on k * Crit modulo k * L with k = dim: the point
+        k * project_H0(rep) = k * rep - deg * (1, ..., 1) is integral, and
+        x = y modulo L exactly when k * x = k * y modulo k * L, whose HNF
+        is k times L's.  So each canonical form is an integer reduce, and
+        only the valid t are carried back to fractional_part form, before
+        the sort.
+        """
+        L = self.lattice
+        k = L.dim
+        kL = LatticeBasis([[k * x for x in row] for row in L.hnf])
+        points = [kL.reduce([k * a - c.degree for a in c.representative])
+                  for c in self.classes]
+        out = [(L.fractional_part([Fraction(x, k) for x in t]), pairing)
+               for t, pairing in _reflections(points, kL.reduce)]
+        out.sort(key=itemgetter(0))
+        return out
 
     @property
     def reflection_vector(self) -> Optional[tuple]:
@@ -257,16 +272,17 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
 
 
 def _reflections(points, canon):
-    """Every translation t with -P = P + t, with its pairing, sorted by t.
+    """Every translation t with -P = P + t, with its pairing.
 
     points are distinct canonical forms (canon(p) == p) of the set P;
-    canon is L.fractional_part for classes modulo L, or the identity for
-    an exact set.  pairing[i] = j means canon(-(p_i + t)) = p_j.  Every
-    valid t carries -p_0 onto some p_q, so t = canon(-(p_0 + p_q)) for
-    one of only len(points) candidates.  A candidate is valid when every
-    canon(-(p_i + t)) lies in P; the index map is then injective, so a
-    bijection, and an involution because -(p_j + t) = p_i.  Symmetric
-    sets can admit several valid t.
+    canon is a lattice's reduce for classes modulo that lattice, or the
+    identity for an exact set.  pairing[i] = j means canon(-(p_i + t)) =
+    p_j.  Every valid t carries -p_0 onto some p_q, so t = canon(-(p_0 +
+    p_q)) for one of only len(points) candidates, and the t come in the
+    order of their q.  A candidate is valid when every canon(-(p_i + t))
+    lies in P; the index map is then injective, so a bijection, and an
+    involution because -(p_j + t) = p_i.  Symmetric sets can admit
+    several valid t.
     """
     if not points:
         return []
@@ -282,7 +298,6 @@ def _reflections(points, canon):
             pairing[i] = j
         else:
             out.append((t, pairing))
-    out.sort(key=itemgetter(0))
     return out
 
 

@@ -21,16 +21,17 @@ other work, Python 3.11.7, per call, median of 5 runs:
 
   * the acceptance suite's rank-equivalence sample (13,139 divisors on 50
     graphs of at most 5 vertices, 6.3 extremal classes per divisor on
-    average): rank_bruteforce 0.066 ms, rank_extremal 0.26 ms;
+    average): rank_bruteforce 0.064 ms, rank_extremal 0.14 ms;
   * the rr_sweep benchmark workload, seed 1, 20 rounds (degrees up to 3g,
-    genus up to 6): rank_bruteforce 0.16 ms, rank_extremal 0.22 ms.
+    genus up to 6): rank_bruteforce 0.14 ms, rank_extremal 0.11 ms.
 
 rank_bruteforce is cheap while its effectiveness tests keep hitting the
 lattice's cache.  Its scan tests every effective E of degree r, the rank
 (C(r + n, n) of them), and a prefix of each degree from r + 1 to deg(D),
 so its work grows exponentially with the rank, under a budget on deg(D).
 rank_extremal's work grows with the number of extremal classes, which is
-large on dense graphs.
+large on dense graphs; it stops at the first class that shows the rank
+is -1.
 """
 
 from __future__ import annotations
@@ -168,6 +169,11 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
     parity of the degree, so deg_plus <= best needs l1 <= 2*best - degree.
     The bound is inclusive, since a tie can still win on the
     lexicographic order.  A class with nothing under it is skipped.
+
+    The loop stops at the first class with best == 0: deg_plus is never
+    negative, so the rank is then -1, and the positive part of any vector
+    with deg_plus 0 is the zero vector, so no later class changes the
+    rank or the witness.
     """
     D = as_divisor(D, L.dim)
     best = None
@@ -182,6 +188,8 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
         val = deg_plus(x)
         if best is None or val < best or (val == best and x < arg):
             best, arg = val, x
+            if best == 0:
+                break
     if best is None:
         raise ValueError("extremal set has no classes")
     witness = tuple(max(c, 0) for c in arg)

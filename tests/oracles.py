@@ -2,10 +2,10 @@
 
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of three
+src/rrlattice beyond the input types, except the earlier forms of four
 library algorithms kept as references (is_extremal_linf,
-rank_bruteforce_ascending and extremal_set_band_scan), which run on the
-library's own kernels.
+rank_bruteforce_ascending, extremal_set_band_scan and
+reflections_fractional_part), which run on the library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
 """
@@ -299,6 +299,32 @@ def reflections_all_pairs(points, canon):
         else:
             if all(pairing[pairing[i]] == i for i in pairing):
                 out.append((t, pairing))
+    return out
+
+
+def reflections_fractional_part(extremal):
+    """Every (t, pairing) with -Crit = Crit + t modulo the lattice, sorted
+    by t: the reflection search on L.fractional_part canonical forms.
+
+    Every valid t carries -p_0 onto some p_q, so only the candidates
+    t = frac(-(p_0 + p_q)) are tried, each by mapping every point; each
+    canonical form is a Fraction pass through L.coords.
+    """
+    frac = extremal.lattice.fractional_part
+    points = [frac(c) for c in extremal.critical_points()]
+    index_of = {p: i for i, p in enumerate(points)}
+    out = []
+    for q in points:
+        t = frac(tuple(-(a + b) for a, b in zip(points[0], q)))
+        pairing = {}
+        for i, p in enumerate(points):
+            j = index_of.get(frac(tuple(-(a + b) for a, b in zip(p, t))))
+            if j is None:
+                break
+            pairing[i] = j
+        else:
+            out.append((t, pairing))
+    out.sort(key=lambda entry: entry[0])
     return out
 
 

@@ -220,6 +220,19 @@ def test_verify_rr_searches_reflections_once(files, capsys, monkeypatch):
         assert len(calls) == 1, source
 
 
+def test_verify_rr_lattice_charges_samples_before_searching(files, capsys,
+                                                           monkeypatch):
+    # the a2 example: 1,450 samples, so 2,900 coset searches over one class
+    calls = []
+    monkeypatch.setattr(extremal, "_reflections",
+                        lambda points, canon: calls.append(points))
+    code = main(["verify-rr", "--lattice", files["lat"], "--budget", "2000"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "resource budget exceeded: sample check")
+    assert not calls
+
+
 # -- the exit-code contract ------------------------------------------------------
 
 

@@ -213,6 +213,27 @@ def test_effective_cache_lives_on_the_lattice(m322_lattice):
     assert L._caches["effective"] == {(0, 6, -6): None, (0, 14, -11): (2, 0, 1)}
 
 
+def test_rank_extremal_stops_at_rank_minus_one(monkeypatch):
+    G = Multigraph.complete(4)
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    D = (-3, 1, 0, 0)
+    assert rank_bruteforce(L, D).rank == -1
+    calls = []
+    search = LatticeBasis.coset_min_l1
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeBasis, "coset_min_l1", counted)
+    r = rank_extremal(L, D, ex)
+    assert (r.rank, r.witness) == (-1, (0, 0, 0, 0))
+    # the first class already reaches deg_plus 0; the other five are
+    # left unsearched
+    assert len(calls) < ex.class_count
+
+
 def test_rank_extremal_within_node_budget():
     # 10 extremal classes, genus 9; the per-class l1 search used to spend
     # more than the default 2,000,000 nodes on this divisor

@@ -12,7 +12,7 @@ from rrlattice.core import LatticeBasis
 from rrlattice.extremal import (canonical_point, classify, extremal_set_general,
                                 extremal_set_graphical, reflection_pairing,
                                 voronoi_cell_vertices)
-from rrlattice.graphs import RegularDigraph
+from rrlattice.graphs import Multigraph, RegularDigraph
 from rrlattice.rank import verify_riemann_roch, verify_weak_rr
 
 import oracles
@@ -132,3 +132,33 @@ def test_other_lattice_raises(k3_extremal, m322_lattice):
     for verify in (verify_riemann_roch, verify_weak_rr):
         with pytest.raises(ValueError, match="does not belong"):
             verify(m322_lattice, k3_extremal, (1, 1, 1), D_samples=[])
+
+
+def test_integer_search_matches_fractional_part_search():
+    # the all-pairs oracle is cubic in the class count, too slow for the
+    # 120 and 720 classes of K6 and K7
+    for k in (6, 7):
+        ex = extremal_set_graphical(Multigraph.complete(k))
+        assert ex._reflection_list == oracles.reflections_fractional_part(ex)
+
+
+def test_fractional_part_runs_once_per_valid_t(monkeypatch):
+    calls = []
+    frac = LatticeBasis.fractional_part
+
+    def counted(self, x):
+        calls.append(x)
+        return frac(self, x)
+
+    monkeypatch.setattr(LatticeBasis, "fractional_part", counted)
+    # K4 (6 classes, one t), m322 (one t) and a lattice with no t
+    nri = LatticeBasis([(2, 0, 1, -3), (1, 2, 1, -4), (2, -1, -2, 1)])
+    for ex in (extremal_set_graphical(Multigraph.complete(4)),
+               extremal_set_graphical(
+                   Multigraph.from_edges(3, [(0, 1, 3), (0, 2, 2),
+                                             (1, 2, 2)])),
+               extremal_set_general(nri)):
+        calls.clear()
+        refl = ex._reflection_list
+        assert len(calls) == len(refl)
+        assert len(refl) == (0 if ex.lattice is nri else 1)
