@@ -136,18 +136,18 @@ class ExtremalSet:
         """Every (t, pairing) with -Crit = Crit + t modulo the lattice,
         sorted by t; see _reflections.
 
-        The search runs on k * Crit modulo k * L with k = dim: the point
-        k * project_H0(rep) = k * rep - deg * (1, ..., 1) is integral, and
-        x = y modulo L exactly when k * x = k * y modulo k * L, whose HNF
-        is k times L's.  So each canonical form is an integer reduce, and
-        only the valid t are carried back to fractional_part form, before
-        the sort.
+        The search runs on k * Crit modulo k * L with k = dim: every
+        k * project_H0(rep) = k * rep - deg(rep) * (1, ..., 1) is
+        integral, and x = y modulo L exactly when k * x = k * y modulo
+        k * L, whose HNF is k times L's.  So each canonical form is an
+        integer reduce, and only the valid t are carried back to
+        fractional_part form, before the sort.
         """
         L = self.lattice
         k = L.dim
         kL = LatticeBasis([[k * x for x in row] for row in L.hnf])
-        points = [kL.reduce([k * a - c.degree for a in c.representative])
-                  for c in self.classes]
+        points = [kL.reduce([int(k * x) for x in p])
+                  for p in self.critical_points()]
         out = [(L.fractional_part([Fraction(x, k) for x in t]), pairing)
                for t, pairing in _reflections(points, kL.reduce)]
         out.sort(key=itemgetter(0))

@@ -2,7 +2,9 @@
 no benchmark is run."""
 
 import importlib.util
+import json
 import pathlib
+import sys
 
 import pytest
 
@@ -74,3 +76,62 @@ def test_summary_needs_nine_tenths_of_the_pairs(ab_bench):
     assert s["all_answers_correct"] is False
     assert s["failed"]["change"][3] == 2
     assert s["metrics"]["peak_rss_mb"]["within_bound"] is True
+
+
+def test_summary_keeps_crashed_runs_out_of_the_metrics(ab_bench):
+    # a crashed run leaves its pair out of the medians but counts against
+    # the gain: 8 wins in 8 complete pairs of 10 is short of nine tenths
+    pairs = [{"parent": result(100, 20.0), "change": result(150, 20.0)}
+             for _ in range(10)]
+    crash = {"error": {"exit": 1, "stdout": "", "stderr": "Traceback ..."}}
+    pairs[4]["change"] = crash
+    pairs[7]["parent"] = crash
+    s = ab_bench.summarise(pairs, END_TO_END)
+    assert (s["pairs"], s["complete_pairs"]) == (10, 8)
+    assert s["crashed"] == {"parent": [8], "change": [5]}
+    assert s["all_answers_correct"] is False
+    assert s["failed"]["change"][4] is None
+    q = s["metrics"]["queries_per_s"]
+    assert (q["change_wins"], q["ratio"], q["gain"]) == (8, 1.5, False)
+    assert "crashed runs in pairs parent [8], change [5]" in \
+        ab_bench.format_summary(s)
+
+
+def test_session_records_a_crashed_run_and_goes_on(ab_bench, tmp_path,
+                                                   monkeypatch, capsys):
+    # two stand-in checkouts whose bench/run.py prints a canned result;
+    # the change's crashes on its first run only
+    script = """import json, pathlib, sys
+here = pathlib.Path(__file__).parent
+n = here / "n"
+k = int(n.read_text()) if n.exists() else 0
+n.write_text(str(k + 1))
+if %r and k == 0:
+    sys.exit("boom")
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"queries_per_s": {"value": %d, "unit": "1/s"},
+                              "peak_rss_mb": {"value": 20.0, "unit": "MB"}}}))
+"""
+    for side, crash, qps in (("parent", False, 100), ("change", True, 150)):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            script % (crash, qps))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": END_TO_END}))
+    out = tmp_path / "ab.json"
+    monkeypatch.setattr(sys, "argv", [
+        "ab_bench.py", "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workload", "w",
+        "--pairs", "3", "--out", str(out)])
+    ab_bench.main()
+    assert "pair 1: queries_per_s parent 100, change crashed (exit 1)" in \
+        capsys.readouterr().out
+    record = json.loads(out.read_text())
+    assert [p["first"] for p in record["runs"]] == \
+        ["parent", "change", "parent"]
+    assert record["runs"][0]["change"]["error"]["exit"] == 1
+    assert "boom" in record["runs"][0]["change"]["error"]["stderr"]
+    assert record["summary"] == ab_bench.summarise(record["runs"],
+                                                   END_TO_END)
+    assert record["summary"]["complete_pairs"] == 2
+    assert record["summary"]["metrics"]["queries_per_s"]["change_wins"] == 2

@@ -1,15 +1,19 @@
 """Alternating A/B runs of the benchmark on two checkouts.
 
     python3 tools/ab_bench.py --parent DIR --change DIR --workload W
-        [--seed N] [--pairs P] [--seconds S] [--out FILE]
+        [--seed N] [--pairs P] [--out FILE]
 
-Runs ``python3 bench/run.py --workload W --seed N --seconds S`` in the
-root of each checkout, P pairs of runs in all, the parent first in pairs
-1, 3, ... and the change first in pairs 2, 4, ....  For every end-to-end
-metric of the change's BENCHMARK.json it prints each side's median and
-quartiles, the number of pairs the change won (ties count for neither
-side), and the change/parent median ratio next to the metric's bound.
---out writes the raw runs and that summary as one JSON object.
+Runs ``python3 bench/run.py --workload W --seed N`` in the root of each
+checkout, at bench/run.py's own run length, P pairs of runs in all, the
+parent first in pairs 1, 3, ... and the change first in pairs 2, 4, ....
+For every end-to-end metric of the change's BENCHMARK.json it prints each
+side's median and quartiles, the number of pairs the change won (ties
+count for neither side), and the change/parent median ratio next to the
+metric's bound.  A run that exits nonzero or prints no result is kept in
+its pair as {"error": {"exit", "stdout", "stderr"}} and the session goes
+on; metrics are taken over the pairs where both runs succeeded.  --out
+writes the raw runs and that summary as one JSON object, rewritten after
+every pair; summarise(obj["runs"], end_to_end) rebuilds obj["summary"].
 """
 
 from __future__ import annotations
@@ -22,15 +26,24 @@ import subprocess
 import sys
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The JSON line that bench/run.py prints last, run in checkout."""
+def run_once(checkout, workload, seed):
+    """The JSON line that bench/run.py prints last, run in checkout, or
+    {"error": ...} with the exit code and output tails if it failed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", repr(seconds)]
+           "--seed", str(seed)]
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
-    proc = subprocess.run(cmd, cwd=checkout, env=env, check=True,
-                          stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode == 0:
+        try:
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            pass
+    return {"error": {"exit": proc.returncode,
+                      "stdout": proc.stdout[-2000:],
+                      "stderr": proc.stderr[-2000:]}}
 
 
 def quartiles(values):
@@ -45,26 +58,36 @@ def summarise(pairs, end_to_end):
     """Per-metric comparison of the runs in pairs.
 
     pairs is a list of {"parent": result, "change": result}, each result
-    the JSON object bench/run.py prints; end_to_end is BENCHMARK.json's
-    list of {"name", "unit", "better", "bound"}.  A metric is within its
-    bound when the change's median is worse than the parent's by at most
-    bound times the parent's median.  It shows a gain when the change won
-    at least nine tenths of the pairs and the medians differ by more than
-    the parent's interquartile range.
+    the JSON object bench/run.py prints or run_once's {"error": ...};
+    end_to_end is BENCHMARK.json's list of {"name", "unit", "better",
+    "bound"}.  Metrics are taken over the complete pairs, those where
+    neither run crashed.  A metric is within its bound when the change's
+    median is worse than the parent's by at most bound times the parent's
+    median.  It shows a gain when the change won at least nine tenths of
+    all the pairs, crashed ones included, and the medians differ by more
+    than the parent's interquartile range.
     """
+    sides = ("parent", "change")
+    complete = [p for p in pairs if not any("error" in p[s] for s in sides)]
+    crashed = {s: [k + 1 for k, p in enumerate(pairs) if "error" in p[s]]
+               for s in sides}
     out = {
         "pairs": len(pairs),
-        "all_answers_correct": all(p[side]["correct"] for p in pairs
-                                   for side in ("parent", "change")),
-        "failed": {side: [p[side]["failed"] for p in pairs]
-                   for side in ("parent", "change")},
+        "complete_pairs": len(complete),
+        "crashed": crashed,
+        "all_answers_correct": (not any(crashed.values()) and
+                                all(p[s]["correct"] for p in pairs
+                                    for s in sides)),
+        "failed": {s: [p[s].get("failed") for p in pairs] for s in sides},
         "metrics": {},
     }
+    if not complete:
+        return out
     for spec in end_to_end:
         name = spec["name"]
         higher = spec["better"] == "higher"
-        parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        parent = [p["parent"]["metrics"][name]["value"] for p in complete]
+        change = [p["change"]["metrics"][name]["value"] for p in complete]
         wins = sum((c > a) if higher else (c < a)
                    for a, c in zip(parent, change))
         pm, cm = statistics.median(parent), statistics.median(change)
@@ -92,8 +115,12 @@ def summarise(pairs, end_to_end):
 
 
 def format_summary(summary):
-    lines = ["%d pairs; all answers correct: %s; failed parent %s, change %s"
-             % (summary["pairs"], summary["all_answers_correct"],
+    lines = ["%d pairs, %d complete; crashed runs in pairs parent %s, "
+             "change %s; all answers correct: %s; failed parent %s, "
+             "change %s"
+             % (summary["pairs"], summary["complete_pairs"],
+                summary["crashed"]["parent"], summary["crashed"]["change"],
+                summary["all_answers_correct"],
                 summary["failed"]["parent"], summary["failed"]["change"])]
     for name, m in summary["metrics"].items():
         ratio = "-" if m["ratio"] is None else "%.3f" % m["ratio"]
@@ -108,6 +135,12 @@ def format_summary(summary):
     return "\n".join(lines)
 
 
+def headline(result):
+    if "error" in result:
+        return "crashed (exit %s)" % result["error"]["exit"]
+    return "%.4g" % result["metrics"]["queries_per_s"]["value"]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -115,7 +148,6 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out")
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
@@ -126,19 +158,18 @@ def main():
         pair = {"first": order[0]}
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload,
-                                  args.seed, args.seconds)
+                                  args.seed)
         pairs.append(pair)
-        print("pair %d: queries_per_s parent %.4g, change %.4g"
-              % (k + 1, pair["parent"]["metrics"]["queries_per_s"]["value"],
-                 pair["change"]["metrics"]["queries_per_s"]["value"]),
+        print("pair %d: queries_per_s parent %s, change %s"
+              % (k + 1, headline(pair["parent"]), headline(pair["change"])),
               flush=True)
-    summary = summarise(pairs, end_to_end)
-    print(format_summary(summary))
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "seconds": args.seconds, "runs": pairs,
-                       "summary": summary}, f, indent=1, sort_keys=True)
+        summary = summarise(pairs, end_to_end)
+        if args.out:
+            with open(args.out, "w") as f:
+                json.dump({"workload": args.workload, "seed": args.seed,
+                           "runs": pairs, "summary": summary},
+                          f, indent=1, sort_keys=True)
+    print(format_summary(summarise(pairs, end_to_end)))
 
 
 if __name__ == "__main__":
