@@ -135,3 +135,17 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
                                                    END_TO_END)
     assert record["summary"]["complete_pairs"] == 2
     assert record["summary"]["metrics"]["queries_per_s"]["change_wins"] == 2
+
+
+def test_bench_12_record_is_the_tools_output(ab_bench):
+    # each A/B session in BENCH_12.json is an --out object as written:
+    # its summary is rebuilt from its runs by the tool's summary step
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]
+    record = json.loads((ROOT / "BENCH_12.json").read_text())
+    sessions = record["end_to_end"]
+    assert len(sessions) == 4
+    for session in sessions.values():
+        assert set(session) == {"workload", "seed", "runs", "summary"}
+        assert session["summary"] == ab_bench.summarise(session["runs"],
+                                                        end_to_end)
