@@ -68,6 +68,13 @@ def as_ints(v, what) -> tuple:
     return ints
 
 
+def check_length(v, dim):
+    """Raise ValueError unless the point v has dim entries."""
+    if len(v) != dim:
+        raise ValueError(
+            "point %r has %d coordinates, expected %d" % (v, len(v), dim))
+
+
 def as_divisor(v, dim) -> Divisor:
     """v as a divisor: a tuple of dim ints.
 
@@ -79,6 +86,16 @@ def as_divisor(v, dim) -> Divisor:
         raise ValueError(
             "divisor %r has %d coordinates, expected %d" % (v, len(out), dim))
     return as_ints(out, "divisor")
+
+
+def as_point(v, dim) -> RationalPoint:
+    """v as a rational point: a tuple of dim Fractions.
+
+    Raises ValueError for a wrong length.
+    """
+    out = tuple(v)
+    check_length(out, dim)
+    return tuple(Fraction(t) for t in out)
 
 
 def as_fraction(x) -> Fraction:
@@ -226,6 +243,9 @@ class LatticeBasis:
         """
         w = list(v)
         dim = self.dim
+        if len(w) != dim:
+            raise ValueError(
+                "point %r has %d coordinates, expected %d" % (v, len(w), dim))
         for i in range(self.n):
             col = self.pivot_cols[i]
             piv = self._pivot_entries[i]
@@ -366,6 +386,7 @@ class LatticeBasis:
         The search space is the simplex {v >= 0, sum v = deg(base)}, so a
         negative degree returns None immediately.
         """
+        check_length(base, self.dim)
         total = sum(base)
         if total < 0:
             return None
@@ -527,7 +548,7 @@ class LatticeBasis:
         norms <= cap are searched, and None is returned when the coset has
         no such vector.
         """
-        base = tuple(int(t) for t in base)
+        base = as_divisor(base, self.dim)
         total = sum(base)
         # base may have nonzero degree; the lattice part has degree zero, so
         # aim the rounding at the projection onto the zero-sum hyperplane,

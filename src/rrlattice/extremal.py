@@ -241,26 +241,34 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     holds no effective divisor) and is closed upwards, so once a degree
     level holds no point of Sigma no lower level does.  The scan therefore
     walks the levels d = 1, 0, -1, ... with one canonical representative
-    per class, keeps the representatives in Sigma, tests those for
-    minimality (invariant under lattice translation), and stops at the
-    first level with none in Sigma, which is level -g_max.  Each level
+    per class, keeps the set of representatives in Sigma, and stops at the
+    first level with none in Sigma, which is level -g_max.  Minimality is
+    decided from the level below, with no further coset walk: a kept v of
+    degree d is minimal exactly when no v - e_i is in Sigma, that is when
+    no reduce(v - e_i) is kept at level d - 1.  So every kept
+    representative of the last non-empty level is minimal.  Each level
     charges its index many class tests against node_budget before it is
     walked.
     """
     index = L.picard_cardinality()
     tests = 0
     found = []
+    above = []
     for d in itertools.count(1, -1):
         tests += index
         if tests > node_budget:
             raise BudgetExceeded("extremal scan: %d class tests exceed the "
                                  "node budget %d" % (tests, node_budget))
-        level = [rep for rep in L.class_representatives(d)
-                 if sigma_contains(L, rep, node_budget)]
+        level = {rep for rep in L.class_representatives(d)
+                 if sigma_contains(L, rep, node_budget)}
+        # level d decides which representatives of level d + 1 are minimal
+        found.extend(
+            v for v in above
+            if not any(L.reduce(tuple(x - (j == i) for j, x in enumerate(v)))
+                       in level for i in range(L.dim)))
         if not level:
             break
-        found.extend(rep for rep in level
-                     if is_extremal(L, rep, node_budget))
+        above = level
     if not found:
         raise RuntimeError("scan found no extremal classes; lattice input "
                            "invalid?")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LatticeBasis, degree
+from .core import LatticeBasis, as_divisor, as_point, degree
 
 
 def simplicial_distance(p, q, orientation: str = "up"):
@@ -50,7 +50,7 @@ def h_distance(L: LatticeBasis, x, node_budget=2_000_000):
     nearest point is chosen so that the translate x - nearest is
     lexicographically least among all minimisers.
     """
-    x = tuple(Fraction(t) for t in x)
+    x = as_point(x, L.dim)
     if sum(x) != 0:
         raise ValueError("expected a point of degree 0")
     # min over p in L of max_i (x_i - p_i); substitute q = -p (L = -L).
@@ -69,6 +69,7 @@ def sigma_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
     form the finite simplex {p >= D, deg p = 0} and a coset search of
     {x >= 0} over x = p - D decides emptiness.
     """
+    D = as_divisor(D, L.dim)
     if degree(D) > 0:
         return True
     neg = tuple(-t for t in D)
@@ -83,6 +84,7 @@ def is_extremal(L: LatticeBasis, v, node_budget=2_000_000) -> bool:
     for w >= 0), so these n + 1 points decide minimality against every
     point below v.
     """
+    v = as_divisor(v, L.dim)
     if not sigma_contains(L, v, node_budget):
         return False
     return not any(
@@ -123,7 +125,7 @@ def verify_critical(L: LatticeBasis, c, node_budget=2_000_000):
     nearest lattice point is tight at i alone.  Returns (ok, data) where
     data is a CriticalPoint on success and None otherwise.
     """
-    c = tuple(Fraction(t) for t in c)
+    c = as_point(c, L.dim)
     if sum(c) != 0:
         raise ValueError("expected a point of degree 0")
     h, _ = h_distance(L, c, node_budget)
@@ -149,7 +151,7 @@ def covering_number(L: LatticeBasis, extremal_data) -> Fraction:
 
 def critical_distance(L: LatticeBasis, critical_points, x, node_budget=2_000_000):
     """min over critical translates c + p of the up-distance from c + p to x."""
-    x = tuple(Fraction(t) for t in x)
+    x = as_point(x, L.dim)
     best = None
     for c in critical_points:
         base = tuple(Fraction(t) - xi for t, xi in zip(c, x))

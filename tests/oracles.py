@@ -2,10 +2,11 @@
 
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of four
+src/rrlattice beyond the input types, except the earlier forms of five
 library algorithms kept as references (is_extremal_linf,
-rank_bruteforce_ascending, extremal_set_band_scan and
-reflections_fractional_part), which run on the library's own kernels.
+rank_bruteforce_ascending, extremal_set_band_scan,
+extremal_set_descending_scan and reflections_fractional_part), which run
+on the library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
 """
@@ -433,6 +434,50 @@ def extremal_set_band_scan(L, node_budget=2_000_000):
                 found.append(rep)
     if not found:
         raise RuntimeError("scan found no extremal classes; bound bug?")
+    classes = _group_into_classes(L, found)
+    return ExtremalSet(lattice=L, classes=classes, source="scan")
+
+
+def extremal_set_descending_scan(L, node_budget=2_000_000):
+    """The descending degree scan that served as the library's bare-lattice
+    extremal enumeration, testing each kept representative with the
+    library's is_extremal.
+
+    Every point of positive degree is in Sigma, and a minimal v needs
+    every v - e_i outside it, so an extremal point has degree at most 1.
+    Sigma is a union of classes (D is in it exactly when the class of -D
+    holds no effective divisor) and is closed upwards, so once a degree
+    level holds no point of Sigma no lower level does.  The scan therefore
+    walks the levels d = 1, 0, -1, ... with one canonical representative
+    per class, keeps the representatives in Sigma, tests those for
+    minimality (invariant under lattice translation), and stops at the
+    first level with none in Sigma, which is level -g_max.  Each level
+    charges its index many class tests against node_budget before it is
+    walked.
+    """
+    import itertools
+
+    from rrlattice.core import BudgetExceeded
+    from rrlattice.extremal import ExtremalSet, _group_into_classes
+    from rrlattice.geometry import is_extremal, sigma_contains
+
+    index = L.picard_cardinality()
+    tests = 0
+    found = []
+    for d in itertools.count(1, -1):
+        tests += index
+        if tests > node_budget:
+            raise BudgetExceeded("extremal scan: %d class tests exceed the "
+                                 "node budget %d" % (tests, node_budget))
+        level = [rep for rep in L.class_representatives(d)
+                 if sigma_contains(L, rep, node_budget)]
+        if not level:
+            break
+        found.extend(rep for rep in level
+                     if is_extremal(L, rep, node_budget))
+    if not found:
+        raise RuntimeError("scan found no extremal classes; lattice input "
+                           "invalid?")
     classes = _group_into_classes(L, found)
     return ExtremalSet(lattice=L, classes=classes, source="scan")
 

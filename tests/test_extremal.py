@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rrlattice import extremal, geometry
 from rrlattice.a2 import random_a2_lattice
 from rrlattice.core import BudgetExceeded, LatticeBasis, degree
 from rrlattice.extremal import (ExtremalSet, Permutation, canonical_point,
@@ -193,6 +195,61 @@ def test_scan_walks_levels_one_to_minus_g_max(skew56_lattice, monkeypatch):
     assert extremal_set_general(L, node_budget=1000) == expected
     with pytest.raises(BudgetExceeded, match="504 class tests"):
         extremal_set_general(L, node_budget=500)
+
+
+def _random_lattice(rng, n, max_index):
+    """A random rank-n lattice of index at most max_index."""
+    while True:
+        rows = []
+        for _ in range(n):
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            rows.append(tuple(v) + (-sum(v),))
+        try:
+            L = LatticeBasis(rows)
+        except ValueError:
+            continue
+        if L.picard_cardinality() <= max_index:
+            return L
+
+
+def test_scan_matches_descending_scan_oracle(skew56_lattice):
+    # the scan reads minimality off the level below; the oracle tests each
+    # kept representative with is_extremal
+    rng = random.Random(13)
+    a2 = [random_a2_lattice(rng) for _ in range(30)]
+    rank3 = [_random_lattice(rng, 3, 40) for _ in range(12)]
+    rank4 = [_random_lattice(rng, 4, 24) for _ in range(6)]
+    digraphs = [laplacian_lattice(G) for G in NONUNIFORM]
+    nonuniform = 0
+    for L in a2 + rank3 + rank4 + digraphs + [skew56_lattice]:
+        a = extremal_set_general(L)
+        b = oracles.extremal_set_descending_scan(L)
+        assert a.classes == b.classes, L.hnf
+        assert (a.g_min, a.g_max) == (b.g_min, b.g_max), L.hnf
+        nonuniform += L in a2 and not a.uniform
+    assert nonuniform >= 10
+
+
+def test_scan_makes_one_sigma_walk_per_class_and_level(skew56_lattice,
+                                                       monkeypatch):
+    # levels 1 down to -13 at index 56 make 15 * 56 Sigma tests; the level
+    # below decides minimality, so is_extremal is never called
+    calls = Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    originals = {name: getattr(geometry, name)
+                 for name in ("sigma_contains", "is_extremal")}
+    for module in (geometry, extremal):
+        for name, fn in originals.items():
+            monkeypatch.setattr(module, name, spy(name, fn))
+    ex = extremal_set_general(skew56_lattice)
+    assert ex.representatives == ((0, 35, -47),)
+    assert calls == {"sigma_contains": 840}
 
 
 def test_reflection_pairing_k3(k3_extremal, k3_lattice):

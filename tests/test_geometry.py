@@ -102,6 +102,29 @@ def test_is_extremal_frozen(skew56_lattice, k3_lattice):
     assert not is_extremal(k3_lattice, (0, 0, 0))
 
 
+A2_ROOT = LatticeBasis([(2, -1, -1), (-1, 2, -1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: sigma_contains(L, (0, 0)),
+    lambda L: sigma_contains(L, (0, 0, 0, 0)),
+    lambda L: sigma_contains(L, (Fraction(1, 2), 0, -1)),
+    lambda L: sigma_contains(L, (0.5, 0, -1)),
+    lambda L: is_extremal(L, (1, 0)),
+    lambda L: is_extremal(L, (1.5, 0, -1)),
+    lambda L: h_distance(L, (0, 0)),
+    lambda L: h_distance(L, ()),
+    lambda L: verify_critical(L, (0, 0)),
+    lambda L: critical_distance(L, [(0, 0, 0)], (0, 0)),
+], ids=["sigma_short", "sigma_long", "sigma_fraction", "sigma_float",
+        "extremal_short", "extremal_float", "h_short", "h_empty",
+        "critical_short", "critical_distance_short"])
+def test_points_of_another_shape_raise_value_error(call):
+    # each was answered on a truncated point or failed with another error
+    with pytest.raises(ValueError):
+        call(A2_ROOT)
+
+
 def test_verify_critical_k3(k3_lattice):
     ok, data = verify_critical(k3_lattice, (-1, 0, 1))
     assert ok
