@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import MappingProxyType
 from typing import Optional
 
 from .core import LatticeBasis, degree
@@ -71,9 +72,25 @@ def digraph_basis(L: LatticeBasis):
     cell vertices are incident to the origin.  When the lattice is a
     multi-tree lattice the undirected tree rows are returned, matching
     how graphical lattices are anchored on their own Laplacian rows.
+
+    The basis is built and certified once per lattice and kept in L's
+    cache, so later calls on the same LatticeBasis return it at once.
     """
     if L.n != 2:
         raise ValueError("digraph basis construction applies to rank-2 only")
+    return _per_lattice(L, "digraph_basis", _build_digraph_basis)
+
+
+def _per_lattice(L: LatticeBasis, key, build):
+    """build(L), computed once per lattice and kept in L._caches[key]."""
+    cache = L._caches
+    if key not in cache:
+        cache[key] = build(L)
+    return cache[key]
+
+
+def _build_digraph_basis(L: LatticeBasis):
+    """The certified digraph basis of a rank-2 L (see digraph_basis)."""
     tree = _multi_tree_data(L)
     if tree is not None:
         centre, mult = tree
@@ -172,9 +189,16 @@ def _multi_tree_data(L: LatticeBasis):
     centre k has Laplacian lattice generated by a*(e_i - e_k) and
     b*(e_j - e_k); that holds exactly when the minimal such multiples
     have product equal to the lattice index.  Returns None otherwise.
+    Computed once per lattice and kept in L's cache; the mapping is
+    read-only, since every caller shares it.
     """
     if L.n != 2:
         raise ValueError("multi-tree test applies to rank-2 only")
+    return _per_lattice(L, "multi_tree", _find_multi_tree)
+
+
+def _find_multi_tree(L: LatticeBasis):
+    """The uncached search behind _multi_tree_data."""
     pic = L.picard_cardinality()
     for centre in range(3):
         i, j = [x for x in range(3) if x != centre]
@@ -185,7 +209,7 @@ def _multi_tree_data(L: LatticeBasis):
         a = _tree_edge_order(L, ei)
         b = _tree_edge_order(L, ej)
         if a * b == pic:
-            return centre, {i: a, j: b}
+            return centre, MappingProxyType({i: a, j: b})
     return None
 
 

@@ -68,13 +68,6 @@ def as_ints(v, what) -> tuple:
     return ints
 
 
-def check_length(v, dim):
-    """Raise ValueError unless the point v has dim entries."""
-    if len(v) != dim:
-        raise ValueError(
-            "point %r has %d coordinates, expected %d" % (v, len(v), dim))
-
-
 def as_divisor(v, dim) -> Divisor:
     """v as a divisor: a tuple of dim ints.
 
@@ -94,7 +87,9 @@ def as_point(v, dim) -> RationalPoint:
     Raises ValueError for a wrong length.
     """
     out = tuple(v)
-    check_length(out, dim)
+    if len(out) != dim:
+        raise ValueError(
+            "point %r has %d coordinates, expected %d" % (out, len(out), dim))
     return tuple(Fraction(t) for t in out)
 
 
@@ -357,9 +352,10 @@ class LatticeBasis:
     # Because the HNF is in row echelon form the value at pivot column i
     # depends only on c_0..c_i, so each level walks one interval of
     # multiples of row i.  The objective sets the intervals: "box" takes
-    # them from fixed per-coordinate bounds (iter_coset_in_bounds and
-    # find_effective_in_coset), "l1" and "max" from the incumbent's value
-    # (coset_min_l1 and coset_min_max_coord).
+    # them from fixed per-coordinate bounds (find_effective_in_coset on an
+    # integer base, iter_coset_in_bounds for the rational enumerations of
+    # geometry.py), "l1" and "max" from the incumbent's value (coset_min_l1
+    # and coset_min_max_coord).
 
     def iter_coset_in_bounds(self, base, lower, upper, node_budget=2_000_000):
         """All vectors base + (integer combo of rows) inside given bounds.
@@ -383,16 +379,17 @@ class LatticeBasis:
     def find_effective_in_coset(self, base, node_budget=2_000_000):
         """The lexicographically least vector >= 0 congruent to base, or None.
 
-        The search space is the simplex {v >= 0, sum v = deg(base)}, so a
-        negative degree returns None immediately.
+        base is a divisor: dim integers (ValueError otherwise, see
+        as_divisor).  The search space is the simplex {v >= 0, sum v =
+        deg(base)}, walked as the integer box [0, deg(base)]^dim straight
+        on _branch_and_bound, so a negative degree returns None at once.
         """
-        check_length(base, self.dim)
+        base = as_divisor(base, self.dim)
         total = sum(base)
         if total < 0:
             return None
-        lo = [0] * self.dim
-        hi = [total] * self.dim
-        return next(self.iter_coset_in_bounds(base, lo, hi, node_budget),
+        box = ([0] * self.dim, [total] * self.dim)
+        return next(self._branch_and_bound(base, 1, box, "box", node_budget),
                     None)
 
     def _babai_point(self, num, den):

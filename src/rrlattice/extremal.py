@@ -198,10 +198,10 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     """Extremal classes of a Laplacian lattice via order enumeration.
 
     For undirected multigraphs every order vector (plus all-ones) is a
-    minimal element of Sigma, and each class is checked to be; for
-    regular digraphs some are not and are filtered out, which still
-    yields every class because each minimal class arises from an order.
-    The k! orders are charged against node_budget before the walk.
+    minimal element of Sigma (Baker-Norine); for regular digraphs some are
+    not and are filtered out with is_extremal, which still yields every
+    class because each minimal class arises from an order.  The k! orders
+    are charged against node_budget before the walk.
     """
     k = G.vertex_count
     if math.factorial(k) > node_budget:
@@ -212,19 +212,12 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     vectors = [tuple(a + 1 for a in nu_of_permutation(Q, order))
                for order in itertools.permutations(range(k))]
     classes = _group_into_classes(L, vectors)
-    directed = isinstance(G, RegularDigraph)
-    if directed:
+    if isinstance(G, RegularDigraph):
         classes = tuple(
             c for c in classes if is_extremal(L, c.representative, node_budget)
         )
         source = "digraph"
     else:
-        for c in classes:
-            if not is_extremal(L, c.representative, node_budget):
-                raise RuntimeError(
-                    "order enumeration produced a non-extremal class "
-                    "representative %r" % (c.representative,)
-                )
         source = "graphical"
     if not classes:
         raise RuntimeError("no extremal classes found; lattice input invalid?")
@@ -242,30 +235,42 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     level holds no point of Sigma no lower level does.  The scan therefore
     walks the levels d = 1, 0, -1, ... with one canonical representative
     per class, keeps the set of representatives in Sigma, and stops at the
-    first level with none in Sigma, which is level -g_max.  Minimality is
-    decided from the level below, with no further coset walk: a kept v of
-    degree d is minimal exactly when no v - e_i is in Sigma, that is when
-    no reduce(v - e_i) is kept at level d - 1.  So every kept
-    representative of the last non-empty level is minimal.  Each level
-    charges its index many class tests against node_budget before it is
-    walked.
+    first level with none in Sigma, which is level -g_max.  Level 1 is kept
+    whole with no coset walk.  Below it, upward closure is tested before
+    each walk: a representative with some reduce(rep + e_i) not kept at
+    level d + 1 lies outside Sigma, and only the others get a
+    sigma_contains walk.  Minimality is decided from the level below, with
+    no further coset walk: a kept v of degree d is minimal exactly when no
+    v - e_i is in Sigma, that is when no reduce(v - e_i) is kept at level
+    d - 1.  So every kept representative of the last non-empty level is
+    minimal.  Each level charges its index many class tests against
+    node_budget before it is walked.
     """
     index = L.picard_cardinality()
+    steps = range(L.dim)
     tests = 0
     found = []
-    above = []
+    above = None
     for d in itertools.count(1, -1):
         tests += index
         if tests > node_budget:
             raise BudgetExceeded("extremal scan: %d class tests exceed the "
                                  "node budget %d" % (tests, node_budget))
-        level = {rep for rep in L.class_representatives(d)
-                 if sigma_contains(L, rep, node_budget)}
-        # level d decides which representatives of level d + 1 are minimal
-        found.extend(
-            v for v in above
-            if not any(L.reduce(tuple(x - (j == i) for j, x in enumerate(v)))
-                       in level for i in range(L.dim)))
+        reps = L.class_representatives(d)
+        if above is None:
+            level = set(reps)  # every point of positive degree is in Sigma
+        else:
+            # upward closure: rep is in Sigma only if every rep + e_i is
+            level = {rep for rep in reps
+                     if all(L.reduce(_unit_step(rep, i, 1)) in above
+                            for i in steps)
+                     and sigma_contains(L, rep, node_budget)}
+            # level d decides which representatives of level d + 1 are
+            # minimal
+            found.extend(
+                v for v in above
+                if not any(L.reduce(_unit_step(v, i, -1)) in level
+                           for i in steps))
         if not level:
             break
         above = level
@@ -274,6 +279,11 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
                            "invalid?")
     classes = _group_into_classes(L, found)
     return ExtremalSet(lattice=L, classes=classes, source="scan")
+
+
+def _unit_step(v, i, s):
+    """v + s * e_i."""
+    return v[:i] + (v[i] + s,) + v[i + 1:]
 
 
 # -- classification -------------------------------------------------------------

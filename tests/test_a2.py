@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
+import rrlattice.a2 as a2
 from rrlattice.core import LatticeBasis, degree
-from rrlattice.a2 import (_absorb, _tree_edge_order, classify_a2,
-                          digraph_basis, digraph_of_basis, extend_family,
-                          is_multi_tree_lattice, random_a2_lattice)
+from rrlattice.a2 import (_absorb, _multi_tree_data, _tree_edge_order,
+                          classify_a2, digraph_basis, digraph_of_basis,
+                          extend_family, is_multi_tree_lattice,
+                          random_a2_lattice)
 from rrlattice.extremal import (canonical_point, classify,
                                 extremal_set_general, extremal_set_graphical)
 from rrlattice.rank import rank_bruteforce, verify_riemann_roch
@@ -115,6 +118,56 @@ def test_classify_a2_frozen(k3_lattice, skew56_lattice, multitree_lattice):
         "strong": False, "critical_classes": 1, "multi_tree": False}
     assert classify_a2(multitree_lattice) == {
         "strong": True, "critical_classes": 1, "multi_tree": True}
+
+
+def test_digraph_basis_is_built_once_per_lattice(monkeypatch):
+    # digraph_basis, classify and classify_a2 share one built basis and
+    # one multi-tree scan per LatticeBasis
+    calls = Counter()
+
+    def spy(name):
+        fn = getattr(a2, name)
+
+        def counted(L):
+            calls[name] += 1
+            return fn(L)
+        return counted
+
+    for name in ("_build_digraph_basis", "_find_multi_tree"):
+        monkeypatch.setattr(a2, name, spy(name))
+    once = {"_build_digraph_basis": 1, "_find_multi_tree": 1}
+    for rows in ([(7, -7, 0), (-3, 11, -8)], [(3, 0, -3), (0, 2, -2)]):
+        L = LatticeBasis(rows)
+        first = digraph_basis(L)
+        assert digraph_basis(L) == first
+        classify(extremal_set_general(L), L)
+        classify_a2(L)
+        assert calls == once
+        calls.clear()
+        # a new basis object of the same lattice starts cold
+        assert digraph_basis(LatticeBasis(rows)) == first
+        assert calls == once
+        calls.clear()
+
+
+def test_classify_a2_same_on_cold_and_warm_cache():
+    rng = random.Random(73)
+    for _ in range(20):
+        L = random_a2_lattice(rng)
+        cold = classify_a2(LatticeBasis(L.rows))
+        classify(extremal_set_general(L), L)  # warms the digraph data
+        assert classify_a2(L) == cold
+        assert classify_a2(L) == cold
+
+
+def test_multi_tree_data_is_read_only(multitree_lattice):
+    L = LatticeBasis(multitree_lattice.rows)
+    centre, mult = _multi_tree_data(L)
+    assert (centre, dict(mult)) == (2, {0: 3, 1: 2})
+    with pytest.raises(TypeError):
+        mult[0] = 5
+    assert digraph_basis(L) == ((3, 0, -3), (0, 2, -2), (-3, -2, 5))
+    assert _multi_tree_data(L) == (2, {0: 3, 1: 2})
 
 
 def test_classify_a2_matches_strong_criterion():

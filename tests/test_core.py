@@ -66,14 +66,17 @@ def test_reduce_is_canonical_coset_form(k3_lattice):
 
 @pytest.mark.parametrize("call", [
     lambda L: L.find_effective_in_coset((3, 0)),
+    lambda L: L.find_effective_in_coset((Fraction(1, 2), 0, Fraction(5, 2))),
+    lambda L: L.find_effective_in_coset((1.5, 0, 1.5)),
     lambda L: L.coset_min_l1((1.5, 0, 0)),
     lambda L: L.coset_min_l1((1, 0)),
     lambda L: L.reduce((5,)),
     lambda L: L.reduce((5, 0, 0, 0)),
-], ids=["effective_short", "l1_float", "l1_short", "reduce_short",
-        "reduce_long"])
+], ids=["effective_short", "effective_fraction", "effective_float",
+        "l1_float", "l1_short", "reduce_short", "reduce_long"])
 def test_coset_kernels_reject_points_of_another_shape(call):
-    # each was answered on a truncated point or failed with IndexError
+    # each was answered on a truncated or rational point, or failed with
+    # IndexError or AttributeError
     L = LatticeBasis([(2, -1, -1), (-1, 2, -1)])
     with pytest.raises(ValueError):
         call(L)
