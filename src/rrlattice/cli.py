@@ -33,7 +33,7 @@ from .extremal import (canonical_point, classify, extremal_set_general,
 from .rank import _charge_samples, rank_bruteforce, rank_extremal, \
     verify_riemann_roch, verify_weak_rr
 from .a2 import classify_a2, digraph_basis
-from .chipfire import Configuration, winnable
+from .chipfire import Configuration, fire_script, winnable
 from .hardness import (RationalSimplex, reduce_simplex_to_membership,
                        simplex_has_integer_point)
 from .geometry import sigma_contains, svg_render_2d
@@ -145,7 +145,7 @@ def _cmd_genus(args):
 
 def _cmd_extremals(args):
     L, extremal, _, _ = _lattice_and_extremal(args)
-    flags = classify(extremal, L, node_budget=args.budget)
+    flags = classify(extremal, L)
     payload = extremal.to_json_dict()
     payload["flags"] = flags
     if flags["reflection_invariant"]:
@@ -181,7 +181,7 @@ def _cmd_canonical(args):
 
 def _cmd_classify(args):
     L, extremal, _, _ = _lattice_and_extremal(args)
-    flags = classify(extremal, L, node_budget=args.budget)
+    flags = classify(extremal, L)
     payload = dict(flags)
     payload["critical_classes"] = extremal.class_count
     payload["g_min"] = extremal.g_min
@@ -254,7 +254,6 @@ def _cmd_chipfire(args):
     lines = ["degree %d, effective: %s" % (cfg.degree, cfg.is_effective),
              "winnable: %s" % ok]
     if ok:
-        from .chipfire import fire_script
         end = fire_script(cfg, script)
         payload["end"] = list(end.chips)
         lines.append("script: %s" % script)

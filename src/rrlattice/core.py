@@ -84,13 +84,18 @@ def as_divisor(v, dim) -> Divisor:
 def as_point(v, dim) -> RationalPoint:
     """v as a rational point: a tuple of dim Fractions.
 
-    Raises ValueError for a wrong length.
+    Raises ValueError for a wrong length or an entry that is not a finite
+    rational (None, inf and nan included).
     """
     out = tuple(v)
     if len(out) != dim:
         raise ValueError(
             "point %r has %d coordinates, expected %d" % (out, len(out), dim))
-    return tuple(Fraction(t) for t in out)
+    try:
+        return tuple(Fraction(t) for t in out)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("point %r has an entry that is not a finite "
+                         "rational" % (out,)) from None
 
 
 def as_fraction(x) -> Fraction:
@@ -266,9 +271,9 @@ class LatticeBasis:
 
         x must lie in the rational span (any zero-sum vector does).
         """
-        if sum(Fraction(t) for t in x) != 0:
+        rem = list(as_point(x, self.dim))
+        if sum(rem) != 0:
             raise ValueError("vector is not in the zero-sum hyperplane")
-        rem = [Fraction(t) for t in x]
         out = []
         for i in range(self.n):
             col = self.pivot_cols[i]
@@ -523,7 +528,7 @@ class LatticeBasis:
         where point = base + p attains the value and is the
         lexicographically least vector doing so.
         """
-        base = tuple(Fraction(t) for t in base)
+        base = as_point(base, self.dim)
         if sum(base) != 0:
             raise ValueError("expected a zero-sum base point")
         # search den * (base + L) over the integers, divide once at the end

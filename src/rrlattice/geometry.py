@@ -28,18 +28,15 @@ def simplicial_distance(p, q, orientation: str = "up"):
     the arguments exchanged.  p and q must have equal degree (the
     difference is measured inside one degree hyperplane).
     """
-    if len(p) != len(q):
-        raise ValueError("dimension mismatch")
-    dp = sum(Fraction(t) for t in p)
-    dq = sum(Fraction(t) for t in q)
-    if dp != dq:
+    p = as_point(p, len(p))
+    q = as_point(q, len(p))
+    if sum(p) != sum(q):
         raise ValueError("points have different degrees")
     if orientation == "down":
         p, q = q, p
     elif orientation != "up":
         raise ValueError("orientation must be 'up' or 'down'")
-    m = min(Fraction(b) - Fraction(a) for a, b in zip(p, q))
-    m = abs(m)
+    m = abs(min(b - a for a, b in zip(p, q)))
     return int(m) if m.denominator == 1 else m
 
 
@@ -154,7 +151,7 @@ def critical_distance(L: LatticeBasis, critical_points, x, node_budget=2_000_000
     x = as_point(x, L.dim)
     best = None
     for c in critical_points:
-        base = tuple(Fraction(t) - xi for t, xi in zip(c, x))
+        base = tuple(a - b for a, b in zip(as_point(c, L.dim), x))
         val, _ = L.coset_min_max_coord(base, node_budget)
         if best is None or val < best:
             best = val
@@ -343,8 +340,7 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
 
     if "voronoi" in layers:
         from .extremal import voronoi_cell_vertices
-        cell = voronoi_cell_vertices(L, extremal_data,
-                                     node_budget=node_budget)
+        cell = voronoi_cell_vertices(L, extremal_data)
         if cell:
             planar = [(_planar(v), v) for v in sorted(cell)]
             if any(not _inside_window(pq, window) for pq, _ in planar):

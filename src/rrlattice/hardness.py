@@ -137,9 +137,7 @@ def reduce_simplex_to_membership(S: RationalSimplex):
     )
     denoms = [v.denominator for col in F_cols for v in col]
     denoms.extend(v.denominator for v in x)
-    N = 1
-    for d in denoms:
-        N = N * d // math.gcd(N, d)
+    N = math.lcm(*denoms)
     rows = [tuple(int(N * v) for v in col) for col in F_cols]
     L = LatticeBasis(rows)
     D = tuple(int(N * v) - N for v in x)

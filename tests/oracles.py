@@ -68,6 +68,27 @@ def absorb_one_step(b0, b1, a, b, max_steps=100_000):
     raise RuntimeError("cone normalisation did not terminate")
 
 
+def certify_digraph_basis(lattice_rows, rows):
+    """Raise AssertionError unless rows is a digraph basis of the lattice.
+
+    A digraph basis of a rank-2 lattice is three zero-sum rows with zero
+    column sums, row i in cone C_i (coordinate i > 0, the other two
+    <= 0, so a Laplacian row), whose first two rows generate the lattice:
+    equal index, and each of them a member.
+    """
+    assert len(rows) == 3 and all(len(r) == 3 for r in rows), rows
+    assert all(sum(r) == 0 for r in rows), "rows must be zero-sum"
+    assert tuple(sum(col) for col in zip(*rows)) == (0, 0, 0), \
+        "columns must sum to zero"
+    for i, r in enumerate(rows):
+        assert r[i] > 0 and all(r[j] <= 0 for j in range(3) if j != i), \
+            "row %d = %r is not a Laplacian row in cone C_%d" % (i, r, i)
+    assert sympy_index(rows[:2]) == sympy_index(lattice_rows), \
+        "rows span a lattice of another index"
+    assert all(lattice_member(lattice_rows, r) for r in rows[:2]), \
+        "rows do not lie in the lattice"
+
+
 def sympy_hnf(rows):
     M = sympy.Matrix([list(r) for r in rows])
     H = hermite_normal_form(M.T)

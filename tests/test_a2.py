@@ -11,6 +11,8 @@ from rrlattice.a2 import (_absorb, _multi_tree_data, _tree_edge_order,
                           random_a2_lattice)
 from rrlattice.extremal import (canonical_point, classify,
                                 extremal_set_general, extremal_set_graphical)
+from rrlattice.geometry import is_extremal
+from rrlattice.graphs import laplacian_lattice
 from rrlattice.rank import rank_bruteforce, verify_riemann_roch
 
 import oracles
@@ -270,3 +272,26 @@ def test_random_a2_lattice_contract():
         L = random_a2_lattice(rng)
         assert L.n == 2
         assert L.picard_cardinality() >= 1
+
+
+def test_digraph_basis_passes_certificate(multitree_lattice, skew56_lattice):
+    # digraph_basis returns its rows unchecked; this is the certificate it
+    # used to run on every build
+    rng = random.Random(89)
+    lattices = [random_a2_lattice(rng) for _ in range(200)]
+    lattices += [multitree_lattice, skew56_lattice]
+    for L in lattices:
+        basis = digraph_basis(L)
+        oracles.certify_digraph_basis(L.rows, basis)
+        assert laplacian_lattice(digraph_of_basis(basis)).same_lattice(L)
+
+
+def test_extend_family_lifted_classes_are_extremal(l2_lattice):
+    # extend_family lifts each class as (v, 0) without a Sigma walk
+    L, ex = l2_lattice, extremal_set_general(l2_lattice)
+    count = ex.class_count
+    for _ in range(3):
+        L, ex = extend_family(L, ex)
+        assert ex.class_count == count
+        for cls in ex.classes:
+            assert is_extremal(L, cls.representative), cls

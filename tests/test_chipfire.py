@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rrlattice.chipfire import (Configuration, fire, fire_script, kc_minus,
-                                winnable)
+from rrlattice.chipfire import (Configuration, _script_from_lattice_vector,
+                                fire, fire_script, kc_minus, winnable)
 from rrlattice.graphs import Multigraph, laplacian_lattice
 from rrlattice.rank import rank_bruteforce
 
@@ -99,3 +99,25 @@ def test_reachability_is_lattice_difference(m322):
         end = fire_script(cfg, script)
         diff = tuple(a - b for a, b in zip(cfg.chips, end.chips))
         assert L.contains(diff)
+
+
+def test_script_counts_are_the_integer_solution(corpus):
+    # _script_from_lattice_vector takes the rational solve as integral
+    # without checking it: delta lies in the lattice and the reduced
+    # Laplacian of a connected graph is nonsingular
+    rng = random.Random(101)
+    for name, G in corpus:
+        rows = G.laplacian_rows()
+        k = G.vertex_count
+        for _ in range(5):
+            fired = [rng.randint(-4, 4) for _ in range(k)]
+            delta = tuple(sum(c * row[j] for c, row in zip(fired, rows))
+                          for j in range(k))
+            counts = _script_from_lattice_vector(G, delta)
+            assert all(type(c) is int for c in counts), name
+            assert min(counts) == 0, name
+            assert tuple(sum(c * row[j] for c, row in zip(counts, rows))
+                         for j in range(k)) == delta, name
+            # unique up to the all-ones kernel
+            low = min(fired)
+            assert counts == [c - low for c in fired], name

@@ -72,11 +72,17 @@ def test_reduce_is_canonical_coset_form(k3_lattice):
     lambda L: L.coset_min_l1((1, 0)),
     lambda L: L.reduce((5,)),
     lambda L: L.reduce((5, 0, 0, 0)),
+    lambda L: L.coords((1, -1)),
+    lambda L: L.fractional_part((None, 0, 0)),
+    lambda L: L.coset_min_max_coord((1, -1)),
+    lambda L: L.coset_min_max_coord((float("inf"), float("-inf"), 0)),
 ], ids=["effective_short", "effective_fraction", "effective_float",
-        "l1_float", "l1_short", "reduce_short", "reduce_long"])
+        "l1_float", "l1_short", "reduce_short", "reduce_long",
+        "coords_short", "fractional_none", "max_coord_short",
+        "max_coord_inf"])
 def test_coset_kernels_reject_points_of_another_shape(call):
     # each was answered on a truncated or rational point, or failed with
-    # IndexError or AttributeError
+    # IndexError, AttributeError, TypeError or OverflowError
     L = LatticeBasis([(2, -1, -1), (-1, 2, -1)])
     with pytest.raises(ValueError):
         call(L)

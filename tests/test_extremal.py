@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from rrlattice import extremal, geometry
-from rrlattice.a2 import random_a2_lattice
-from rrlattice.core import BudgetExceeded, LatticeBasis, degree
-from rrlattice.extremal import (ExtremalSet, Permutation, canonical_point,
-                                classify, extremal_set_general,
-                                extremal_set_graphical, nu_of_permutation,
-                                reflection_pairing, voronoi_cell_vertices)
+from rrlattice.a2 import extend_family, random_a2_lattice
+from rrlattice.core import BudgetExceeded, LatticeBasis, degree, project_H0
+from rrlattice.extremal import (ExtremalClass, ExtremalSet, Permutation,
+                                canonical_point, classify,
+                                extremal_set_general, extremal_set_graphical,
+                                nu_of_permutation, reflection_pairing,
+                                voronoi_cell_vertices)
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               connected_simple_graphs, laplacian_lattice,
                               random_connected_multigraph)
@@ -284,6 +286,60 @@ def test_voronoi_cell_k3(k3_lattice, k3_extremal):
     want = {(1, 0, -1), (1, -1, 0), (0, 1, -1),
             (0, -1, 1), (-1, 1, 0), (-1, 0, 1)}
     assert {tuple(int(x) for x in v) for v in V} == want
+
+
+def test_voronoi_cell_rejects_classes_that_are_not_extremal(k3_lattice,
+                                                           k3_extremal):
+    # criticality is the caller's precondition and is not re-checked; a
+    # class that no order of the generator family reaches is named;
+    # (1, 1, 1) and (0, 0, 0) are not extremal classes of K3
+    stray = ExtremalClass(representative=(1, 1, 1), degree=3,
+                          members=((1, 1, 1),))
+    origin = ExtremalClass(representative=(0, 0, 0), degree=0,
+                           members=((0, 0, 0),))
+    replaced = dataclasses.replace(
+        k3_extremal, classes=(stray,) + k3_extremal.classes[1:])
+    added = dataclasses.replace(
+        k3_extremal, classes=k3_extremal.classes + (origin,))
+    with pytest.raises(ValueError, match=r"class \(1, 1, 1\)"):
+        voronoi_cell_vertices(k3_lattice, replaced)
+    with pytest.raises(ValueError, match=r"class \(0, 0, 0\)"):
+        voronoi_cell_vertices(k3_lattice, added)
+    # the builder's own set answers as before
+    assert len(voronoi_cell_vertices(k3_lattice, k3_extremal)) == 6
+
+
+def test_voronoi_cell_rejects_a_family_that_is_not_tight(k3_lattice,
+                                                         k3_extremal):
+    # lattice vectors with zero column sums, but not Laplacian rows
+    q_rows = ((2, -1, -1), (2, -1, -1), (-4, 2, 2))
+    with pytest.raises(ValueError, match=r"not tight .* class \(-1, 1, 0\)"):
+        voronoi_cell_vertices(k3_lattice, k3_extremal, q_rows=q_rows)
+
+
+def test_every_extremal_class_is_critical(corpus, l2_lattice):
+    # voronoi_cell_vertices takes the critical points of every class
+    # without running verify_critical on them: extremal classes project to
+    # the local maxima of h (Amini-Manjunath)
+    sets = [extremal_set_graphical(G) for _, G in corpus]
+    sets += [extremal_set_graphical(G) for G in NONUNIFORM]
+    rng = random.Random(97)
+    sets += [extremal_set_general(random_a2_lattice(rng)) for _ in range(30)]
+    sets += [extremal_set_general(_random_lattice(rng, 3, 40))
+             for _ in range(10)]
+    L, ex = l2_lattice, extremal_set_general(l2_lattice)
+    for _ in range(2):
+        L, ex = extend_family(L, ex)
+        sets.append(ex)
+    assert {ex.source for ex in sets} == {"graphical", "digraph", "scan",
+                                          "extension"}
+    for ex in sets:
+        k = ex.lattice.dim
+        for cls in ex.classes:
+            ok, data = geometry.verify_critical(
+                ex.lattice, project_H0(cls.representative))
+            assert ok, (ex.lattice.hnf, cls.representative)
+            assert data.h_value == Fraction(k - cls.degree, k)
 
 
 def test_classify_m322(m322_extremal, m322_lattice):

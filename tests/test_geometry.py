@@ -116,11 +116,18 @@ A2_ROOT = LatticeBasis([(2, -1, -1), (-1, 2, -1)])
     lambda L: h_distance(L, ()),
     lambda L: verify_critical(L, (0, 0)),
     lambda L: critical_distance(L, [(0, 0, 0)], (0, 0)),
+    lambda L: h_distance(L, (float("inf"), 0, 0)),
+    lambda L: h_distance(L, (None, 0, 0)),
+    lambda L: verify_critical(L, (float("inf"), 0, 0)),
+    lambda L: critical_distance(L, [(0, 0, 0)], (float("inf"), 0, 0)),
+    lambda L: simplicial_distance((None, 0), (0, 0)),
 ], ids=["sigma_short", "sigma_long", "sigma_fraction", "sigma_float",
         "extremal_short", "extremal_float", "h_short", "h_empty",
-        "critical_short", "critical_distance_short"])
+        "critical_short", "critical_distance_short", "h_inf", "h_none",
+        "critical_inf", "critical_distance_inf", "simplicial_none"])
 def test_points_of_another_shape_raise_value_error(call):
     # each was answered on a truncated point or failed with another error
+    # (OverflowError for inf, TypeError for None)
     with pytest.raises(ValueError):
         call(A2_ROOT)
 
