@@ -18,10 +18,8 @@ from .core import (
 from .graphs import (
     Multigraph,
     RegularDigraph,
-    acyclic_orientations_unique_source,
     canonical_divisor,
     connected_simple_graphs,
-    cyclic_order_count,
     graph_from_json_dict,
     graph_from_text,
     laplacian_lattice,
@@ -88,10 +86,8 @@ __all__ = [
     "project_H0",
     "Multigraph",
     "RegularDigraph",
-    "acyclic_orientations_unique_source",
     "canonical_divisor",
     "connected_simple_graphs",
-    "cyclic_order_count",
     "graph_from_json_dict",
     "graph_from_text",
     "laplacian_lattice",

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written the dumb way (exhaustive box
-scans, sympy normal forms, closed-form loops) and shares no code with
+scans, sympy normal forms, closed-form loops, orientation and order
+enumeration) and shares no code with
 src/rrlattice beyond the input types, except the earlier forms of five
 library algorithms kept as references (is_extremal_linf,
 rank_bruteforce_ascending, extremal_set_band_scan,
@@ -544,3 +545,92 @@ def connected_simple_graphs_by_key(k):
                 mat[i][j] = mat[j][i] = 1
             out.append(tuple(tuple(row) for row in mat))
     return out
+
+
+def acyclic_orientations_unique_source(G, source=0):
+    """Acyclic orientations whose only in-degree-0 vertex is `source`.
+
+    Parallel edges must share a direction in any acyclic orientation, so
+    the count only depends on the simple support of G.
+    """
+    from rrlattice.core import BudgetExceeded
+
+    k = G.vertex_count
+    edges = [(i, j) for i, j, _ in G.edge_list()]
+    if len(edges) > 22:
+        raise BudgetExceeded("too many edges for orientation enumeration")
+    count = 0
+    for mask in range(1 << len(edges)):
+        indeg = [0] * k
+        succ = [[] for _ in range(k)]
+        for idx, (i, j) in enumerate(edges):
+            if mask >> idx & 1:
+                succ[i].append(j)
+                indeg[j] += 1
+            else:
+                succ[j].append(i)
+                indeg[i] += 1
+        sources = [v for v in range(k) if indeg[v] == 0]
+        if sources != [source]:
+            continue
+        # Kahn peeling for acyclicity
+        order = list(sources)
+        indeg = list(indeg)
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for v in succ[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    order.append(v)
+        if len(order) == k:
+            count += 1
+    return count
+
+
+def cyclic_order_count(G):
+    """Equivalence classes of cyclic vertex orders.
+
+    Two cyclic orders are elementary equivalent when they differ by
+    swapping a consecutive pair of non-adjacent vertices (consecutive in
+    the cyclic sense, including the wrap-around pair).  Orders are
+    normalised with the last vertex fixed in final position, so there are
+    n! of them.
+    """
+    from rrlattice.core import BudgetExceeded
+
+    k = G.vertex_count
+    if k > 8:
+        raise BudgetExceeded("factorial enumeration limited to 8 vertices")
+    last = k - 1
+
+    def normalize(word):
+        idx = word.index(last)
+        return word[idx + 1:] + word[:idx + 1]
+
+    states = [
+        normalize(tuple(p) + (last,))
+        for p in permutations(range(k - 1))
+    ]
+    parent = {s: s for s in states}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for s in states:
+        for i in range(k):
+            u, v = s[i], s[(i + 1) % k]
+            if G.edge_mult[u][v] == 0:
+                w = list(s)
+                w[i], w[(i + 1) % k] = w[(i + 1) % k], w[i]
+                union(s, normalize(tuple(w)))
+    return len({find(s) for s in states})

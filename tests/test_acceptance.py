@@ -39,9 +39,7 @@ from rrlattice.geometry import (
 )
 from rrlattice.graphs import (
     Multigraph,
-    acyclic_orientations_unique_source,
     canonical_divisor,
-    cyclic_order_count,
     laplacian_lattice,
     spanning_tree_count,
 )
@@ -56,6 +54,8 @@ from rrlattice.rank import (
     rank_extremal,
     verify_riemann_roch,
 )
+
+from oracles import acyclic_orientations_unique_source, cyclic_order_count
 
 
 @pytest.fixture(scope="module")

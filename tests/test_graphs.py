@@ -5,14 +5,13 @@ import pytest
 
 from rrlattice.core import degree
 from rrlattice.graphs import (Multigraph, RegularDigraph,
-                              acyclic_orientations_unique_source,
                               canonical_divisor, connected_simple_graphs,
-                              cyclic_order_count, graph_from_json_dict,
-                              graph_from_text, laplacian_lattice,
-                              random_connected_multigraph,
+                              graph_from_json_dict, graph_from_text,
+                              laplacian_lattice, random_connected_multigraph,
                               spanning_tree_count)
 
 import oracles
+from oracles import acyclic_orientations_unique_source, cyclic_order_count
 
 
 def test_multigraph_validation():

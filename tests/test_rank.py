@@ -383,3 +383,86 @@ def test_rank_bruteforce_scans_one_level_in_full(monkeypatch):
     assert (r.rank, r.witness) == (12, (0, 1, 2, 2, 8))
     assert max(tested) <= 6
     assert len(tested) <= 1991
+
+
+def _spy_on_tests(monkeypatch, limit=1000):
+    """The divisors rank_bruteforce tests for effectiveness, recorded as
+    it goes; a test past the limit fails at once rather than running on."""
+    tested = []
+
+    def spy(L, D, node_budget=2_000_000):
+        tested.append(D)
+        if len(tested) > limit:
+            raise AssertionError("more than %d effectiveness tests" % limit)
+        return linear_system_nonempty(L, D, node_budget)
+
+    monkeypatch.setattr(rank_module, "linear_system_nonempty", spy)
+    return tested
+
+
+def test_rank_bruteforce_stops_once_the_level_covers_pic(monkeypatch):
+    # the same K5 divisor: level 12 holds 1,820 compositions, but its
+    # witnesses cover the 125 classes of degree 6 after 325 of them, so
+    # 496 tests in all where the full level scan made 1,991
+    L = laplacian_lattice(Multigraph.complete(5))
+    assert L.picard_cardinality() == 125
+    tested = _spy_on_tests(monkeypatch)
+    r = rank_bruteforce(L, (4, 4, 4, 3, 3), budget=40)
+    assert (r.rank, r.witness) == (12, (0, 1, 2, 2, 8))
+    assert len(tested) == 496
+
+
+def _root_lattice(n):
+    """A_n: the whole zero-sum lattice in n + 1 coordinates, index 1."""
+    return LatticeBasis([tuple(int(j == i) - int(j == i + 1)
+                               for j in range(n + 1)) for i in range(n)])
+
+
+def test_rank_bruteforce_answers_a8_from_one_test(monkeypatch):
+    # Pic of A_8 is trivial, so the first divisor tested in level 24 covers
+    # it; without the exit the level's C(32, 8) = 10,518,300 compositions
+    # are all tested, none of them charged to a budget
+    L = _root_lattice(8)
+    assert L.picard_cardinality() == 1
+    tested = _spy_on_tests(monkeypatch)
+    r = rank_bruteforce(L, (24,) + (0,) * 8)
+    assert (r.rank, r.witness) == (24, (0,) * 8 + (25,))
+    assert len(tested) == 1
+
+
+def _index_lattice(n, m, tail):
+    """Rows e_i - e_n (i < n - 1) and (tail, m, -sum(tail) - m): the
+    pivot block is triangular with diagonal (1, ..., 1, m), so the
+    index is m."""
+    rows = [tuple(int(j == i) - int(j == n) for j in range(n + 1))
+            for i in range(n - 1)]
+    rows.append(tuple(tail) + (m, -sum(tail) - m))
+    return LatticeBasis(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _exit_cases():
+    """(lattice, largest degree drawn) where whole levels are covered:
+    A_2 to A_4, rank-3 and rank-4 lattices of index 2 to 6, and the
+    corpus graphs on at most 4 vertices."""
+    cases = [(_root_lattice(n), 10) for n in (2, 3, 4)]
+    for m in range(2, 7):
+        cases.append((_index_lattice(3, m, (m - 1, 1)), 10))
+        cases.append((_index_lattice(4, m, (1, -1, m // 2)), 8))
+    cases += [(laplacian_lattice(G), 3 * G.genus)
+              for _, G in corpus_graphs() if G.vertex_count <= 4]
+    return tuple(cases)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rank_bruteforce_with_the_exit_matches_the_ascending_scan(data):
+    cases = _exit_cases()
+    L, top = cases[data.draw(st.integers(0, len(cases) - 1))]
+    # counted down from the top, where most levels are covered
+    d = top - data.draw(st.integers(0, top + 3))
+    body = [data.draw(st.integers(-4, 4)) for _ in range(L.dim - 1)]
+    D = tuple(body) + (d - sum(body),)
+    r = rank_bruteforce(L, D, budget=40)
+    ref = oracles.rank_bruteforce_ascending(L, D, budget=40)
+    assert (r.rank, r.witness) == (ref.rank, ref.witness), D
