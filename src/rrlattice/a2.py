@@ -152,12 +152,8 @@ def _absorb(b0, b1, a, b):
 
 def digraph_of_basis(rows) -> RegularDigraph:
     """The regular digraph whose Laplacian rows are the given basis."""
-    arcs = []
-    for i in range(3):
-        for j in range(3):
-            if i != j and rows[i][j] != 0:
-                arcs.append((i, j, -rows[i][j]))
-    return RegularDigraph.from_arcs(3, arcs)
+    return RegularDigraph(3, [[0 if i == j else -rows[i][j] for j in range(3)]
+                              for i in range(3)])
 
 
 def _tree_edge_order(L: LatticeBasis, v) -> int:

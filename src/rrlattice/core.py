@@ -218,12 +218,10 @@ class LatticeBasis:
         self.dim = width  # ambient n+1
         self.hnf = tuple(hnf)
         self.pivot_cols = tuple(pivots)
-        free = [c for c in range(width) if c not in pivots]
-        self.free_col = free[0]
         # A pivot in the last column would make the last HNF row
         # (0, ..., 0, s), and its zero sum forces s = 0.  So the pivots are
         # columns 0..n-1 and the free column is n.
-        assert self.free_col == self.n
+        self.free_col = self.n
         self._pivot_entries = tuple(self.hnf[i][pivots[i]] for i in range(self.n))
         # row i of the HNF past its pivot, up to the free column: what the
         # coset walk adds to the unfixed coordinates per multiple of row i

@@ -23,7 +23,7 @@ from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
 from .geometry import is_extremal, sigma_contains
 # bound here so the benchmark's tracer can wrap it; no code here calls it
 from .geometry import verify_critical  # noqa: F401
-from .graphs import RegularDigraph, laplacian_lattice
+from .graphs import Multigraph, laplacian_lattice
 
 
 class Permutation:
@@ -200,10 +200,11 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     """Extremal classes of a Laplacian lattice via order enumeration.
 
     For undirected multigraphs every order vector (plus all-ones) is a
-    minimal element of Sigma (Baker-Norine); for regular digraphs some are
-    not and are filtered out with is_extremal, which still yields every
-    class because each minimal class arises from an order.  The k! orders
-    are charged against node_budget before the walk.
+    minimal element of Sigma (Baker-Norine); for other regular digraphs
+    some are not and are filtered out with is_extremal, which still yields
+    every class because each minimal class arises from an order.  A
+    Multigraph, the symmetric regular digraph, skips the filter.  The k!
+    orders are charged against node_budget before the walk.
     """
     k = G.vertex_count
     if math.factorial(k) > node_budget:
@@ -214,13 +215,13 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     vectors = [tuple(a + 1 for a in nu_of_permutation(Q, order))
                for order in itertools.permutations(range(k))]
     classes = _group_into_classes(L, vectors)
-    if isinstance(G, RegularDigraph):
+    if isinstance(G, Multigraph):
+        source = "graphical"
+    else:
         classes = tuple(
             c for c in classes if is_extremal(L, c.representative, node_budget)
         )
         source = "digraph"
-    else:
-        source = "graphical"
     return ExtremalSet(lattice=L, classes=classes, source=source,
                        q_rows=tuple(tuple(r) for r in Q))
 

@@ -288,6 +288,16 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
                                            "arrangement"}:
         from .extremal import extremal_set_general
         extremal_data = extremal_set_general(L, node_budget=node_budget)
+    if "arrangement" in layers:
+        if t is None:
+            raise ValueError("the arrangement layer needs t")
+        t = Fraction(t)
+        cov = covering_number(L, extremal_data)
+        if not (0 <= t <= cov):
+            raise ValueError("t must lie in [0, Cov]")
+    # the lattice points in the window, walked once for every layer
+    points = (_lattice_points_in_window(L, window, node_budget)
+              if layers & {"lattice", "critical", "arrangement"} else [])
 
     size = float(window) * scale
     out = []
@@ -306,15 +316,9 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
     warnings = []
 
     if "arrangement" in layers:
-        if t is None:
-            raise ValueError("the arrangement layer needs t")
-        t = Fraction(t)
-        cov = covering_number(L, extremal_data)
-        if not (0 <= t <= cov):
-            raise ValueError("t must lie in [0, Cov]")
         corners = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
         tri = []
-        for p in _lattice_points_in_window(L, window, node_budget):
+        for p in points:
             verts = [
                 tuple(Fraction(a) - t * b for a, b in zip(p, corner))
                 for corner in corners
@@ -322,7 +326,7 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
             tri.append((verts, "#9ecae1"))
         s = cov - t
         for c in extremal_data.critical_points():
-            for p in _lattice_points_in_window(L, window, node_budget):
+            for p in points:
                 centre = tuple(Fraction(a) + b for a, b in zip(c, p))
                 if not _inside_window(_planar(centre), window):
                     continue
@@ -353,7 +357,7 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
                        'stroke="#31a354" stroke-width="2"/>' % pts)
 
     if "lattice" in layers:
-        for p in _lattice_points_in_window(L, window, node_budget):
+        for p in points:
             x, y = _svg_xy(_planar(p), scale)
             out.append('<circle cx="%s" cy="%s" r="3" fill="#333333"/>'
                        % (x, y))
@@ -361,7 +365,7 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
     if "critical" in layers:
         seen = set()
         for c in extremal_data.critical_points():
-            for p in _lattice_points_in_window(L, window, node_budget):
+            for p in points:
                 v = tuple(Fraction(a) + b for a, b in zip(c, p))
                 if v in seen or not _inside_window(_planar(v), window):
                     continue

@@ -1,5 +1,7 @@
-"""Multigraphs, regular digraphs, their Laplacian lattices, and the
-spanning-tree count, which is the order of their Picard group.
+"""Regular digraphs and multigraphs, their Laplacian lattices, and the
+spanning-tree count, which is the order of their Picard group.  A
+multigraph is the symmetric regular digraph: each edge is an arc in both
+directions, with the same Laplacian.
 """
 
 from __future__ import annotations
@@ -11,72 +13,143 @@ from typing import Iterable, Sequence
 from .core import LatticeBasis, as_ints
 
 
-def _multiplicities(rows, k):
-    """rows as a k x k tuple of int multiplicities.
-
-    Raises ValueError for another shape or an entry that is not an
-    integer (2.0 is accepted, 1.5 is not; see core.as_ints).
-    """
-    mat = tuple(tuple(r) for r in rows)
-    if len(mat) != k or any(len(r) != k for r in mat):
-        raise ValueError("expected a %dx%d matrix" % (k, k))
-    return tuple(as_ints(r, "multiplicity row") for r in mat)
+def _arc_matrix(vertex_count, items, word):
+    """The k x k matrix of (i, j) or (i, j, mult) items, mult 1 when left
+    out, adding up repeated items.  Raises ValueError for any other item,
+    a loop or an index out of range."""
+    (k,) = as_ints((vertex_count,), "vertex count")
+    mat = [[0] * k for _ in range(k)]
+    for item in items:
+        item = tuple(item) if isinstance(item, Iterable) else None
+        if item is None or len(item) not in (2, 3):
+            raise ValueError("%s %r is not (i, j) or (i, j, mult)"
+                             % (word, item))
+        i, j, m = as_ints((*item, 1)[:3], word)
+        if i == j:
+            raise ValueError("loops are not allowed")
+        if not (0 <= i < k and 0 <= j < k):
+            raise ValueError("%s (%d, %d) out of range" % (word, i, j))
+        mat[i][j] += m
+    return mat
 
 
 def _connected(mat, k) -> bool:
+    """Whether the matrix mat of nonnegative multiplicities, read as an
+    undirected graph, is connected."""
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v in range(k):
-            if mat[u][v] > 0 and v not in seen:
-                seen.add(v)
-                stack.append(v)
+        new = {v for v in range(k) if mat[u][v] or mat[v][u]} - seen
+        seen |= new
+        stack.extend(new)
     return len(seen) == k
 
 
-class Multigraph:
-    """A finite connected multigraph without loops.
+class RegularDigraph:
+    """A digraph whose every vertex has in-degree equal to out-degree.
 
-    edge_mult is a symmetric nonnegative integer matrix with zero diagonal;
-    entry (i, j) counts parallel edges between i and j.
+    arc_mult[i][j] counts arcs from i to j; a multiplicity must be an
+    integer (2.0 is accepted, 1.5 is not; see core.as_ints).  The
+    underlying undirected graph must be connected.  Multigraph is the
+    symmetric case.
     """
 
-    def __init__(self, vertex_count: int, edge_mult: Sequence[Sequence[int]]):
-        if vertex_count < 2:
+    _word = "arc"  # what repr, JSON and error messages call an item
+
+    def __init__(self, vertex_count: int, arc_mult: Sequence[Sequence[int]]):
+        (k,) = as_ints((vertex_count,), "vertex count")
+        if k < 2:
             raise ValueError("need at least 2 vertices")
-        mat = _multiplicities(edge_mult, vertex_count)
-        for i in range(vertex_count):
+        try:
+            mat = tuple(as_ints(r, "multiplicity row") for r in arc_mult)
+        except TypeError:
+            mat = ()
+        if len(mat) != k or any(len(r) != k for r in mat):
+            raise ValueError("expected a %dx%d matrix" % (k, k))
+        for i in range(k):
             if mat[i][i] != 0:
                 raise ValueError("loops are not allowed")
-            for j in range(vertex_count):
-                if mat[i][j] < 0:
-                    raise ValueError("negative edge multiplicity")
-                if mat[i][j] != mat[j][i]:
-                    raise ValueError("edge multiplicities must be symmetric")
-        if not _connected(mat, vertex_count):
+            if any(x < 0 for x in mat[i]):
+                raise ValueError("negative %s multiplicity" % self._word)
+        self._check_balanced(mat)
+        if not _connected(mat, k):
             raise ValueError("graph must be connected")
-        self.vertex_count = vertex_count
-        self.edge_mult = mat
+        self.vertex_count = k
+        self.arc_mult = mat
 
-    # -- constructors -------------------------------------------------------
+    @staticmethod
+    def _check_balanced(mat):
+        for i, row in enumerate(mat):
+            if sum(row) != sum(r[i] for r in mat):
+                raise ValueError("vertex %d has in-degree != out-degree" % i)
+
+    @classmethod
+    def from_arcs(cls, vertex_count: int, arcs: Iterable) -> "RegularDigraph":
+        """Arcs as (i, j) or (i, j, mult) items; multiplicities add up."""
+        return cls(vertex_count, _arc_matrix(vertex_count, arcs, cls._word))
+
+    def __repr__(self):
+        return "%s(%d, %ss=%r)" % (type(self).__name__, self.vertex_count,
+                                   self._word, self._items())
+
+    def arc_list(self):
+        k = self.vertex_count
+        return [(i, j, self.arc_mult[i][j])
+                for i in range(k) for j in range(k) if self.arc_mult[i][j]]
+
+    _items = arc_list  # what repr and JSON list
+
+    @property
+    def n(self) -> int:
+        return self.vertex_count - 1
+
+    def vertex_degree(self, v: int) -> int:
+        return sum(self.arc_mult[v])
+
+    def degree_sequence(self):
+        return tuple(self.vertex_degree(v) for v in range(self.vertex_count))
+
+    def laplacian_rows(self):
+        return tuple(tuple(self.vertex_degree(i) if i == j else -m
+                           for j, m in enumerate(row))
+                     for i, row in enumerate(self.arc_mult))
+
+    def to_json_dict(self):
+        return {
+            "vertices": self.vertex_count,
+            self._word + "s": [list(a) for a in self._items()],
+        }
+
+
+class Multigraph(RegularDigraph):
+    """A finite connected multigraph without loops: the symmetric regular
+    digraph, each edge an arc in both directions.
+
+    edge_mult, the same matrix as arc_mult, is symmetric with zero
+    diagonal; entry (i, j) counts parallel edges between i and j.
+    """
+
+    _word = "edge"
+
+    def __init__(self, vertex_count: int, edge_mult: Sequence[Sequence[int]]):
+        super().__init__(vertex_count, edge_mult)
+
+    @staticmethod
+    def _check_balanced(mat):
+        if any(row != col for row, col in zip(mat, zip(*mat))):
+            raise ValueError("edge multiplicities must be symmetric")
+
+    @property
+    def edge_mult(self):
+        return self.arc_mult
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable) -> "Multigraph":
         """Edges as (i, j) or (i, j, mult) items; multiplicities add up."""
-        mat = [[0] * vertex_count for _ in range(vertex_count)]
-        for e in edges:
-            if len(e) == 2:
-                i, j, m = e[0], e[1], 1
-            else:
-                i, j, m = e
-            if i == j:
-                raise ValueError("loops are not allowed")
-            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
-                raise ValueError("edge (%d, %d) out of range" % (i, j))
-            mat[i][j] += m
-            mat[j][i] += m
-        return cls(vertex_count, mat)
+        mat = _arc_matrix(vertex_count, edges, cls._word)
+        return cls(vertex_count, [[a + b for a, b in zip(row, col)]
+                                  for row, col in zip(mat, zip(*mat))])
 
     @classmethod
     def complete(cls, vertex_count: int) -> "Multigraph":
@@ -96,129 +169,18 @@ class Multigraph:
         edges.append((0, vertex_count - 1))
         return cls.from_edges(vertex_count, edges)
 
-    # -- basic data -----------------------------------------------------------
-
-    def __repr__(self):
-        return "Multigraph(%d, edges=%r)" % (self.vertex_count, self.edge_list())
-
     def edge_list(self):
-        out = []
-        for i in range(self.vertex_count):
-            for j in range(i + 1, self.vertex_count):
-                if self.edge_mult[i][j]:
-                    out.append((i, j, self.edge_mult[i][j]))
-        return out
+        return [(i, j, m) for i, j, m in self.arc_list() if i < j]
 
-    @property
-    def n(self) -> int:
-        return self.vertex_count - 1
+    _items = edge_list
 
     @property
     def edge_count(self) -> int:
         return sum(m for _, _, m in self.edge_list())
 
-    def vertex_degree(self, v: int) -> int:
-        return sum(self.edge_mult[v])
-
-    def degree_sequence(self):
-        return tuple(self.vertex_degree(v) for v in range(self.vertex_count))
-
     @property
     def genus(self) -> int:
         return self.edge_count - self.n
-
-    def laplacian_rows(self):
-        k = self.vertex_count
-        rows = []
-        for i in range(k):
-            row = [-self.edge_mult[i][j] for j in range(k)]
-            row[i] = self.vertex_degree(i)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def to_json_dict(self):
-        return {
-            "vertices": self.vertex_count,
-            "edges": [list(e) for e in self.edge_list()],
-        }
-
-
-class RegularDigraph:
-    """A digraph whose every vertex has in-degree equal to out-degree.
-
-    arc_mult[i][j] counts arcs from i to j.  The underlying undirected
-    graph must be connected.
-    """
-
-    def __init__(self, vertex_count: int, arc_mult: Sequence[Sequence[int]]):
-        if vertex_count < 2:
-            raise ValueError("need at least 2 vertices")
-        mat = _multiplicities(arc_mult, vertex_count)
-        for i in range(vertex_count):
-            if mat[i][i] != 0:
-                raise ValueError("loops are not allowed")
-            if any(x < 0 for x in mat[i]):
-                raise ValueError("negative arc multiplicity")
-        for i in range(vertex_count):
-            if sum(mat[i]) != sum(mat[j][i] for j in range(vertex_count)):
-                raise ValueError("vertex %d has in-degree != out-degree" % i)
-        undirected = [
-            [mat[i][j] + mat[j][i] for j in range(vertex_count)]
-            for i in range(vertex_count)
-        ]
-        if not _connected(undirected, vertex_count):
-            raise ValueError("underlying graph must be connected")
-        self.vertex_count = vertex_count
-        self.arc_mult = mat
-
-    @classmethod
-    def from_arcs(cls, vertex_count: int, arcs: Iterable) -> "RegularDigraph":
-        mat = [[0] * vertex_count for _ in range(vertex_count)]
-        for a in arcs:
-            if len(a) == 2:
-                i, j, m = a[0], a[1], 1
-            else:
-                i, j, m = a
-            if not (0 <= i < vertex_count and 0 <= j < vertex_count):
-                raise ValueError("arc (%d, %d) out of range" % (i, j))
-            mat[i][j] += m
-        return cls(vertex_count, mat)
-
-    def __repr__(self):
-        return "RegularDigraph(%d, arcs=%r)" % (self.vertex_count, self.arc_list())
-
-    def arc_list(self):
-        out = []
-        for i in range(self.vertex_count):
-            for j in range(self.vertex_count):
-                if self.arc_mult[i][j]:
-                    out.append((i, j, self.arc_mult[i][j]))
-        return out
-
-    @property
-    def n(self) -> int:
-        return self.vertex_count - 1
-
-    def vertex_degree(self, v: int) -> int:
-        return sum(self.arc_mult[v])
-
-    def degree_sequence(self):
-        return tuple(self.vertex_degree(v) for v in range(self.vertex_count))
-
-    def laplacian_rows(self):
-        k = self.vertex_count
-        rows = []
-        for i in range(k):
-            row = [-self.arc_mult[i][j] for j in range(k)]
-            row[i] = self.vertex_degree(i)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def to_json_dict(self):
-        return {
-            "vertices": self.vertex_count,
-            "arcs": [list(a) for a in self.arc_list()],
-        }
 
 
 def laplacian_lattice(G) -> LatticeBasis:
@@ -227,8 +189,7 @@ def laplacian_lattice(G) -> LatticeBasis:
     Connectivity, enforced by the graph constructors, makes this a
     full-rank sub-lattice of the zero-sum lattice.
     """
-    rows = G.laplacian_rows()
-    return LatticeBasis(rows[:-1])
+    return LatticeBasis(G.laplacian_rows()[:-1])
 
 
 def canonical_divisor(G):
@@ -278,21 +239,14 @@ def random_connected_multigraph(rng, max_vertices: int = 4, max_edges: int = 10
     """Random connected multigraph: a random spanning tree plus random
     extra parallel/new edges, capped at max_edges total multiplicity."""
     k = rng.randint(2, max_vertices)
-    mat = [[0] * k for _ in range(k)]
-    for v in range(1, k):
-        u = rng.randrange(v)
-        mat[u][v] += 1
-        mat[v][u] += 1
-    total = k - 1
-    extra = rng.randint(0, max_edges - total)
-    for _ in range(extra):
+    edges = [(rng.randrange(v), v) for v in range(1, k)]
+    for _ in range(rng.randint(0, max_edges - len(edges))):
         i = rng.randrange(k)
         j = rng.randrange(k)
         while j == i:
             j = rng.randrange(k)
-        mat[i][j] += 1
-        mat[j][i] += 1
-    return Multigraph(k, mat)
+        edges.append((i, j))
+    return Multigraph.from_edges(k, edges)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -329,7 +283,9 @@ def graph_from_text(text: str):
         if parts[0] == "vertices":
             k = int(parts[1])
             continue
-        edges.append(tuple(map(int, parts)) + (1,) * (3 - len(parts)))
+        edges.append(tuple(map(int, parts)))
     if k is None:
-        k = max(max(i, j) for i, j, _ in edges) + 1
+        if not edges:
+            raise ValueError("graph input has no edges")
+        k = max(max(e[:2]) for e in edges) + 1
     return Multigraph.from_edges(k, edges)

@@ -399,3 +399,19 @@ def test_extremal_set_json(k3_extremal):
     assert obj["class_count"] == 2
     assert obj["g_min"] == obj["g_max"] == 1
     assert len(obj["classes"]) == 2
+
+
+def test_only_digraph_order_classes_are_filtered(monkeypatch):
+    # every order class of an undirected multigraph is extremal, so only
+    # the digraphs pay for is_extremal walks
+    calls = []
+    real = extremal.is_extremal
+    monkeypatch.setattr(extremal, "is_extremal",
+                        lambda *a: calls.append(a) or real(*a))
+    assert extremal_set_graphical(Multigraph.complete(4)).source == \
+        "graphical"
+    assert calls == []
+    for G in NONUNIFORM:
+        calls.clear()
+        assert extremal_set_graphical(G).source == "digraph"
+        assert calls

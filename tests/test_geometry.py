@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rrlattice import geometry
 from rrlattice.core import LatticeBasis
+from rrlattice.extremal import extremal_set_general
 from rrlattice.geometry import (covering_number, critical_distance,
                                 duality_probe, h_distance, is_extremal,
                                 sigma_contains, simplicial_distance,
@@ -199,6 +202,34 @@ def test_svg_render(m322_lattice, m322_extremal, k3_lattice, k3_extremal):
     with pytest.raises(ValueError):
         svg_render_2d(LatticeBasis([(1, -1, 0, 0), (0, 1, -1, 0),
                                     (0, 0, 1, -1)]))
+
+
+@pytest.mark.parametrize("rows, window, digest", [
+    # skew56: one extremal class
+    (((7, -7, 0), (-3, 11, -8)), 30,
+     "b6018851bfe5b0ff546b4ad5f032a3347ee333764a4e3fce85533dad19a9797e"),
+    # the Laplacian lattice of m322: two extremal classes
+    (((5, -3, -2), (-3, 5, -2)), 12,
+     "28eebb02562dc378410870d949b66e410861ddb63655c815d6ce9c002c5c362e"),
+])
+def test_svg_render_walks_the_window_once(monkeypatch, rows, window, digest):
+    # the digests are of the SVGs drawn when every layer, and every
+    # critical point within a layer, walked the window afresh
+    L = LatticeBasis(rows)
+    E = extremal_set_general(L)
+    t = covering_number(L, E) / 2
+    walks = []
+    real = geometry._lattice_points_in_window
+    monkeypatch.setattr(geometry, "_lattice_points_in_window",
+                        lambda *a: walks.append(a) or real(*a))
+    layers = ("lattice", "critical", "voronoi", "arrangement")
+    svgs = [svg_render_2d(L, window=window, layers=layers,
+                          extremal_data=E, t=t)]
+    svgs += [svg_render_2d(L, window=window, layers=(layer,),
+                           extremal_data=E, t=t) for layer in layers]
+    assert hashlib.sha256("\n".join(svgs).encode()).hexdigest() == digest
+    # one walk per render that draws lattice points; voronoi alone walks none
+    assert len(walks) == 4
 
 
 @pytest.mark.parametrize("window, scale", [(0, 40), (-1, 40), (4, -5),

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rrlattice.core import degree
+from rrlattice.extremal import extremal_set_graphical
 from rrlattice.graphs import (Multigraph, RegularDigraph,
                               canonical_divisor, connected_simple_graphs,
                               graph_from_json_dict, graph_from_text,
@@ -141,3 +142,61 @@ def test_multiplicities_must_be_integers():
     assert all(type(x) is int for row in G.edge_mult for x in row)
     D = RegularDigraph.from_arcs(2, [(0, 1, 2.0), (1, 0, 2)])
     assert all(type(x) is int for row in D.arc_mult for x in row)
+
+
+TRIANGLE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+# Malformed graph input, as items for from_edges/from_arcs or as a matrix
+# for the constructor: each raises ValueError, never TypeError.
+BAD_INPUTS = [
+    ("items", 3, [(0, 1.5)]),
+    ("items", 3, [(0, 1, "a")]),
+    ("items", 3, [None]),
+    ("items", 3, [(0,)]),
+    ("items", 2.5, [(0, 1)]),
+    ("items", "3", [(0, 1), (1, 2)]),
+    ("matrix", 2.5, TRIANGLE),
+    ("matrix", "3", TRIANGLE),
+    ("matrix", None, TRIANGLE),
+    ("matrix", 3, None),
+    ("matrix", 3, [[0, 1, 1], 1, [1, 1, 0]]),
+]
+
+
+@pytest.mark.parametrize("cls", [Multigraph, RegularDigraph])
+@pytest.mark.parametrize("form, k, data", BAD_INPUTS)
+def test_bad_graph_input_raises_value_error(cls, form, k, data):
+    if form == "matrix":
+        build = cls
+    else:
+        build = cls.from_edges if cls is Multigraph else cls.from_arcs
+    with pytest.raises(ValueError):
+        build(k, data)
+
+
+@pytest.mark.parametrize("cls", [Multigraph, RegularDigraph])
+def test_integral_float_vertex_count(cls):
+    # read as its int, like a multiplicity of 2.0
+    G = cls(3.0, TRIANGLE)
+    assert type(G.vertex_count) is int
+    assert repr(G) == repr(cls(3, TRIANGLE))
+
+
+def test_graph_from_text_without_edges():
+    with pytest.raises(ValueError, match="no edges"):
+        graph_from_text("")
+    with pytest.raises(ValueError, match="no edges"):
+        graph_from_text("# only a comment\n")
+
+
+def test_multigraph_is_the_symmetric_regular_digraph(m322):
+    assert isinstance(Multigraph.complete(4), RegularDigraph)
+    D = RegularDigraph(3, m322.edge_mult)
+    assert not isinstance(D, Multigraph)
+    assert D.laplacian_rows() == m322.laplacian_rows()
+    assert laplacian_lattice(D).hnf == laplacian_lattice(m322).hnf
+    assert canonical_divisor(D) == canonical_divisor(m322)
+    ED, EG = extremal_set_graphical(D), extremal_set_graphical(m322)
+    assert (ED.classes, ED.q_rows) == (EG.classes, EG.q_rows)
+    assert len(ED.classes) == 2
+    assert (ED.source, EG.source) == ("digraph", "graphical")
