@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import as_divisor, degree, solve_rational
+from .core import _hnf_rows, as_divisor, degree
 from .graphs import Multigraph, canonical_divisor, laplacian_lattice
 from .rank import linear_system_nonempty
 
@@ -63,16 +63,23 @@ def fire_script(cfg: Configuration, script) -> Configuration:
 def _script_from_lattice_vector(G: Multigraph, delta):
     """Firing counts c with sum_i c_i * row_i(Q) = delta, min count zero.
 
-    The counts are determined up to the all-ones kernel of the Laplacian;
-    pinning the last count to zero leaves the reduced system (last row and
-    column deleted), which is nonsingular for a connected graph, so its
-    solution is unique and, as delta lies in the lattice, integral.
-    Shifting by the kernel then normalises the minimum to zero.
+    The counts are unique up to the all-ones kernel of the Laplacian, so
+    the last is pinned to zero.  Rows 0..k-2, cut to k - 1 entries (the
+    zero sum gives the last) and each with its unit vector appended, reach
+    their HNF by integer row operations, so an HNF row's appended columns
+    hold the combination of Laplacian rows behind it.  The left block is
+    the reduced Laplacian, nonsingular for a connected graph, so the
+    pivots are columns 0..k-2.  delta lies in the lattice, so back-
+    substitution divides exactly and leaves minus the counts there.
     """
     k = G.vertex_count
-    rows = G.laplacian_rows()
-    M = [[rows[j][i] for j in range(k - 1)] for i in range(k - 1)]
-    counts = [int(x) for x in solve_rational(M, delta[:k - 1])] + [0]
+    aug = [row[:-1] + (0,) * i + (1,) + (0,) * (k - 2 - i)
+           for i, row in enumerate(G.laplacian_rows()[:-1])]
+    rem = list(delta[:k - 1]) + [0] * (k - 1)
+    for i, row in enumerate(_hnf_rows(aug)[0]):
+        q = rem[i] // row[i]
+        rem = [x - q * y for x, y in zip(rem, row)]
+    counts = [-x for x in rem[k - 1:]] + [0]
     low = min(counts)
     return [c - low for c in counts]
 

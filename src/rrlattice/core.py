@@ -165,7 +165,8 @@ def solve_rational(M, b):
     """Exact solution x of M x = b by Gauss-Jordan elimination.
 
     M is square; entries may be ints or Fractions, and x is a list of
-    Fractions.  Raises ValueError when M is singular.
+    Fractions.  Raises ValueError when M is singular.  Its only callers
+    are in hardness.py.
     """
     k = len(M)
     A = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(b[i])]
@@ -364,8 +365,8 @@ class LatticeBasis:
         """All vectors base + (integer combo of rows) inside given bounds.
 
         lower/upper are per-coordinate inclusive bounds (ints, Fractions or
-        None for unbounded).  Bounds at pivot columns prune the walk level
-        by level; the remaining free coordinate is fixed by the total sum.
+        None for unbounded).  Each pivot column's bounds prune its level of
+        the walk, and the free coordinate's, as the sum fixes it, the last.
         The vectors come in increasing lexicographic order.
         """
         # walk den * (base + L) over the integers, divide once per vector
@@ -386,6 +387,7 @@ class LatticeBasis:
         as_divisor).  The search space is the simplex {v >= 0, sum v =
         deg(base)}, walked as the integer box [0, deg(base)]^dim straight
         on _branch_and_bound, so a negative degree returns None at once.
+        The free coordinate's bounds [0, deg(base)] prune the last level.
         """
         base = as_divisor(base, self.dim)
         total = sum(base)
@@ -422,8 +424,9 @@ class LatticeBasis:
         arrive in strictly increasing lexicographic order.
 
         "box": cap is a pair (lower, upper) of per-coordinate integer
-        bound lists; the last (free) coordinate is checked at the leaf and
-        its bounds may be None.  Yields every point inside the box.
+        bound lists; those of the last (free) coordinate may be None.  v
+        fixes it to R - v at the last level, which walks only the v that
+        keep it inside them.  Yields every point inside the box.
 
         "l1" (the sum of |v_i|) and "max" (the largest coordinate; base
         must then sum to zero): yields (value, point) for points of value
@@ -481,6 +484,9 @@ class LatticeBasis:
             elif box:
                 vlo = los[i]
                 vhi = his[i]
+                if i + 1 == n:  # v fixes the free coordinate R - v
+                    vlo = vlo if fhi is None else max(vlo, R - fhi)
+                    vhi = vhi if flo is None else min(vhi, R - flo)
             else:
                 if acc > bound:
                     i -= 1
@@ -505,8 +511,7 @@ class LatticeBasis:
             if i + 1 == n:
                 f = R - v
                 if box:
-                    if (flo is None or f >= flo) and (fhi is None or f <= fhi):
-                        yield tuple(path) + (f,)
+                    yield tuple(path) + (f,)
                 else:
                     value = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
                     bound = value - 1

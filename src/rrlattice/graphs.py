@@ -16,9 +16,10 @@ from .core import LatticeBasis, as_ints
 def _arc_matrix(vertex_count, items, word):
     """The k x k matrix of (i, j) or (i, j, mult) items, mult 1 when left
     out, adding up repeated items.  Raises ValueError for any other item,
-    a loop or an index out of range."""
+    a loop or an index out of range, and before the matrix is allocated
+    for fewer than k - 1 arcs (i, j), which cannot connect k vertices."""
     (k,) = as_ints((vertex_count,), "vertex count")
-    mat = [[0] * k for _ in range(k)]
+    arcs = {}
     for item in items:
         item = tuple(item) if isinstance(item, Iterable) else None
         if item is None or len(item) not in (2, 3):
@@ -29,8 +30,10 @@ def _arc_matrix(vertex_count, items, word):
             raise ValueError("loops are not allowed")
         if not (0 <= i < k and 0 <= j < k):
             raise ValueError("%s (%d, %d) out of range" % (word, i, j))
-        mat[i][j] += m
-    return mat
+        arcs[i, j] = arcs.get((i, j), 0) + m
+    if len(arcs) < k - 1:
+        raise ValueError("graph must be connected")
+    return [[arcs.get((i, j), 0) for j in range(k)] for i in range(k)]
 
 
 def _connected(mat, k) -> bool:

@@ -3,11 +3,11 @@
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops, orientation and order
 enumeration) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of five
+src/rrlattice beyond the input types, except the earlier forms of six
 library algorithms kept as references (is_extremal_linf,
 rank_bruteforce_ascending, extremal_set_band_scan,
-extremal_set_descending_scan and reflections_fractional_part), which run
-on the library's own kernels.
+extremal_set_descending_scan, reflections_fractional_part and
+script_counts_rational), which run on the library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
 """
@@ -258,6 +258,25 @@ def rank_bruteforce_ascending(L, D, budget=24, node_budget=2_000_000):
     s = max(d + 1, 0)
     return RankResult(rank=s - 1, witness=(0,) * (L.dim - 1) + (s,),
                       method="bruteforce")
+
+
+def script_counts_rational(G, delta):
+    """Firing counts c with sum_i c_i * row_i(Q) = delta, min count zero,
+    as chipfire first found them: the last count pinned to zero and the
+    reduced Laplacian system solved over the rationals by the library's
+    solve_rational.  The solution must be integral, as delta lies in the
+    lattice."""
+    from rrlattice.core import solve_rational
+
+    k = G.vertex_count
+    rows = G.laplacian_rows()
+    M = [[rows[j][i] for j in range(k - 1)] for i in range(k - 1)]
+    sol = solve_rational(M, delta[:k - 1])
+    if any(x.denominator != 1 for x in sol):
+        raise ValueError("delta %r is not in the Laplacian lattice" % (delta,))
+    counts = [int(x) for x in sol] + [0]
+    low = min(counts)
+    return [c - low for c in counts]
 
 
 def naive_h_distance(rows, q, coeff_bound=6):

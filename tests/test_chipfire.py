@@ -5,8 +5,11 @@ import pytest
 
 from rrlattice.chipfire import (Configuration, _script_from_lattice_vector,
                                 fire, fire_script, kc_minus, winnable)
-from rrlattice.graphs import Multigraph, laplacian_lattice
+from rrlattice.graphs import (Multigraph, laplacian_lattice,
+                              random_connected_multigraph)
 from rrlattice.rank import rank_bruteforce
+
+import oracles
 
 
 def test_configuration_validation(k3):
@@ -121,3 +124,21 @@ def test_script_counts_are_the_integer_solution(corpus):
             # unique up to the all-ones kernel
             low = min(fired)
             assert counts == [c - low for c in fired], name
+
+
+def test_integer_scripts_match_the_rational_solve(corpus):
+    # back-substitution down the HNF of [Laplacian rows | identity] gives
+    # the counts the rational solve of the reduced system gave
+    rng = random.Random(107)
+    graphs = ([G for _, G in corpus]
+              + [Multigraph.complete(k) for k in range(7, 13)]
+              + [random_connected_multigraph(rng, 7, 20) for _ in range(40)])
+    for G in graphs:
+        rows = G.laplacian_rows()
+        k = G.vertex_count
+        for _ in range(6):
+            fired = [rng.randint(-9, 9) for _ in range(k)]
+            delta = tuple(sum(c * row[j] for c, row in zip(fired, rows))
+                          for j in range(k))
+            assert _script_from_lattice_vector(G, delta) == \
+                oracles.script_counts_rational(G, delta), G

@@ -372,3 +372,14 @@ def test_fractional_multiplicity_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), err
     assert "Traceback" not in err
+
+
+def test_vertex_count_alone_does_not_set_the_cost(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"vertices": 100_000, "edges": [[0, 1, 1]]}))
+    start = time.perf_counter()
+    code = main(["genus", "--graph", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), err
+    assert "connected" in err
+    assert time.perf_counter() - start < 1.0

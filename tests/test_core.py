@@ -9,6 +9,7 @@ import rrlattice
 from rrlattice.core import (BudgetExceeded, LatticeBasis, deg_minus, deg_plus,
                             degree, picard_cardinality, project_H0,
                             solve_rational)
+from rrlattice.graphs import Multigraph, laplacian_lattice
 
 import oracles
 
@@ -309,6 +310,40 @@ def test_iter_coset_fraction_bounds_open_free_coordinate(case, data):
     want = oracles.coset_points_in_box_pointwise(
         L.rows, base, lo + [free_lo], hi + [free_hi])
     assert got == sorted(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_and_base(), st.data())
+def test_box_walks_match_box_scan_in_order(case, data):
+    # the free coordinate's bounds, finite or None, cut the last pivot
+    # level; the points and their lexicographic order are what a scan of
+    # the box gives
+    L, base = case
+    n, total = L.n, sum(base)
+    lo = [data.draw(st.integers(-3, 1)) for _ in range(n)]
+    hi = [t + data.draw(st.integers(0, 4)) for t in lo]
+    free = st.one_of(st.none(), st.integers(-8, 8))
+    flo, fhi = data.draw(free), data.draw(free)
+    got = list(L.iter_coset_in_bounds(base, lo + [flo], hi + [fhi]))
+    scan_lo = total - sum(hi) if flo is None else flo
+    scan_hi = total - sum(lo) if fhi is None else fhi
+    assert got == oracles.coset_points_in_box_pointwise(
+        L.rows, base, lo + [scan_lo], hi + [scan_hi])
+    box = [0] * L.dim, [max(total, 0)] * L.dim
+    pts = oracles.coset_points_in_box_pointwise(L.rows, base, *box)
+    assert L.find_effective_in_coset(base) == (pts[0] if pts else None)
+
+
+@pytest.mark.parametrize("k, nodes", [(7, 563), (9, 36_619)])
+def test_indeg_minus_one_proof_node_count(k, nodes):
+    # indeg - 1 of the order 0, 1, ..., k - 1 on K_k has no effective
+    # divisor in its class; the last level walks only the v that keep the
+    # free coordinate in [0, deg D], so no rejected leaf is counted
+    L = laplacian_lattice(Multigraph.complete(k))
+    D = tuple(range(-1, k - 1))
+    assert L.find_effective_in_coset(D, node_budget=nodes) is None
+    with pytest.raises(BudgetExceeded):
+        L.find_effective_in_coset(D, node_budget=nodes - 1)
 
 
 def test_pointwise_scan_matches_coefficient_scan():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -200,3 +201,14 @@ def test_multigraph_is_the_symmetric_regular_digraph(m322):
     assert (ED.classes, ED.q_rows) == (EG.classes, EG.q_rows)
     assert len(ED.classes) == 2
     assert (ED.source, EG.source) == ("digraph", "graphical")
+
+
+def test_too_few_items_rejected_before_the_matrix():
+    # one edge cannot connect 100,000 vertices; the 10^10-entry matrix is
+    # never built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="connected"):
+        graph_from_json_dict({"vertices": 100_000, "edges": [[0, 1, 1]]})
+    with pytest.raises(ValueError, match="connected"):
+        RegularDigraph.from_arcs(100_000, [(0, 1), (1, 0)])
+    assert time.perf_counter() - start < 1.0
