@@ -9,10 +9,8 @@ the primary worked family.  All arithmetic is exact (ints and Fractions).
 from .core import (
     BudgetExceeded,
     LatticeBasis,
-    deg_minus,
     deg_plus,
     degree,
-    picard_cardinality,
     project_H0,
 )
 from .graphs import (
@@ -41,7 +39,6 @@ from .geometry import (
 from .extremal import (
     ExtremalClass,
     ExtremalSet,
-    Permutation,
     canonical_point,
     classify,
     extremal_set_general,
@@ -79,10 +76,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "LatticeBasis",
-    "deg_minus",
     "deg_plus",
     "degree",
-    "picard_cardinality",
     "project_H0",
     "Multigraph",
     "RegularDigraph",
@@ -105,7 +100,6 @@ __all__ = [
     "verify_critical",
     "ExtremalClass",
     "ExtremalSet",
-    "Permutation",
     "canonical_point",
     "classify",
     "extremal_set_general",

@@ -15,9 +15,9 @@ import random
 from types import MappingProxyType
 from typing import Optional
 
-from .core import LatticeBasis, degree
-from .extremal import (ExtremalClass, ExtremalSet, _resolve_q_rows, classify,
-                       extremal_set_graphical)
+from .core import LatticeBasis
+from .extremal import (ExtremalSet, _group_into_classes, _resolve_q_rows,
+                       classify, extremal_set_graphical)
 # bound here so the benchmark's tracer can wrap it; no code here calls it
 from .geometry import is_extremal  # noqa: F401
 from .graphs import RegularDigraph
@@ -249,14 +249,10 @@ def extend_family(L: LatticeBasis, with_rr_data: Optional[ExtremalSet] = None):
         return L_up, None
     if not with_rr_data.lattice.same_lattice(L):
         raise ValueError("extremal data does not belong to the given lattice")
-    lifted = []
-    for cls in with_rr_data.classes:
-        members = tuple(sorted(m + (0,) for m in cls.members))
-        rep = members[0]
-        lifted.append(
-            ExtremalClass(representative=rep, degree=degree(rep), members=members)
-        )
-    lifted.sort(key=lambda cl: cl.representative)
+    # (v, 0) - (w, 0) lies in L_up exactly when v - w lies in L, so the
+    # lifted members fall into the same classes as before
+    lifted = _group_into_classes(
+        L_up, [m + (0,) for cls in with_rr_data.classes for m in cls.members])
     q_up = None
     base_q = _resolve_q_rows(L, with_rr_data)
     if base_q is not None:
@@ -269,7 +265,7 @@ def extend_family(L: LatticeBasis, with_rr_data: Optional[ExtremalSet] = None):
         q_up = tuple(q_rows)
     return L_up, ExtremalSet(
         lattice=L_up,
-        classes=tuple(lifted),
+        classes=lifted,
         source="extension",
         q_rows=q_up,
     )

@@ -37,11 +37,6 @@ def deg_plus(v) -> int:
     return sum(x for x in v if x > 0)
 
 
-def deg_minus(v) -> int:
-    """Sum of magnitudes of the negative coordinates (a value >= 0)."""
-    return -sum(x for x in v if x < 0)
-
-
 def project_H0(v) -> RationalPoint:
     """Project v onto the zero-sum hyperplane along (1,1,...,1).
 
@@ -563,7 +558,3 @@ class LatticeBasis:
         cap = start if cap is None else min(cap, start)
         leaves = self._branch_and_bound(base, 1, cap, "l1", node_budget)
         return min(leaves, key=itemgetter(0), default=None)
-
-
-def picard_cardinality(lattice: LatticeBasis) -> int:
-    return lattice.picard_cardinality()

@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
-from typing import Optional, Sequence
+from operator import add, itemgetter
+from typing import Optional
 
 from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
 from .geometry import is_extremal, sigma_contains
@@ -26,57 +26,34 @@ from .geometry import verify_critical  # noqa: F401
 from .graphs import Multigraph, laplacian_lattice
 
 
-class Permutation:
-    """A vertex order: images[i] is the vertex in position i."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        images = as_ints(images, "vertex order")
-        if sorted(images) != list(range(len(images))):
-            raise ValueError("not a permutation of 0..n")
-        self.images = images
-
-    def __iter__(self):
-        return iter(self.images)
-
-    def __len__(self):
-        return len(self.images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return "Permutation(%r)" % (self.images,)
-
-    def reversed_order(self) -> "Permutation":
-        """Full positional reversal; the exact pairing partner for the
-        degree-sum identity (see reflection_pairing)."""
-        return Permutation(self.images[::-1])
-
-    @staticmethod
-    def all_orders(k: int):
-        for p in itertools.permutations(range(k)):
-            yield Permutation(p)
-
-
 def nu_of_permutation(Q, pi):
     """The order vector of pi for Laplacian matrix Q.
 
-    Coordinate k is minus the total arc multiplicity into k from vertices
-    earlier in the order; since Q[j][k] is minus that multiplicity for
-    j != k, this is a plain running sum over Q entries.
+    pi lists the vertices 0..k-1, each once, in order, and Q is k x k;
+    anything else raises ValueError (entries go through as_ints, so 2.0
+    is read as 2).
     """
-    order = tuple(pi)
+    order = as_ints(pi, "vertex order")
     k = len(order)
+    if sorted(order) != list(range(k)):
+        raise ValueError("not a permutation of 0..n")
     if len(Q) != k or any(len(r) != k for r in Q):
         raise ValueError("Laplacian size does not match the order")
-    nu = [0] * k
-    for pos, v in enumerate(order):
-        nu[v] = sum(Q[order[i]][v] for i in range(pos))
+    return _nu(Q, order)
+
+
+def _nu(Q, order):
+    """nu_of_permutation for an order of 0..k-1 and a k x k Q, unchecked.
+
+    Coordinate k is minus the total arc multiplicity into k from vertices
+    earlier in the order; since Q[j][k] is minus that multiplicity for
+    j != k, this is a running sum of the Q rows of the vertices placed.
+    """
+    nu = [0] * len(order)
+    placed = [0] * len(order)
+    for v in order:
+        nu[v] = placed[v]
+        placed = list(map(add, placed, Q[v]))
     return tuple(nu)
 
 
@@ -212,7 +189,7 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
                              "budget %d" % (k, node_budget))
     Q = G.laplacian_rows()
     L = laplacian_lattice(G)
-    vectors = [tuple(a + 1 for a in nu_of_permutation(Q, order))
+    vectors = [tuple(a + 1 for a in _nu(Q, order))
                for order in itertools.permutations(range(k))]
     classes = _group_into_classes(L, vectors)
     if isinstance(G, Multigraph):
@@ -407,7 +384,7 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     one = (1,) * k
     out = set()
     for order in itertools.permutations(range(k)):
-        nu = nu_of_permutation(q_rows, order)
+        nu = _nu(q_rows, order)
         key = L.reduce(tuple(a + b for a, b in zip(nu, one)))
         cls = keys.get(key)
         if cls is None:

@@ -147,7 +147,10 @@ def covering_number(L: LatticeBasis, extremal_data) -> Fraction:
 
 
 def critical_distance(L: LatticeBasis, critical_points, x, node_budget=2_000_000):
-    """min over critical translates c + p of the up-distance from c + p to x."""
+    """min over critical translates c + p of the up-distance from c + p to x.
+
+    An empty critical_points raises ValueError: the minimum is undefined.
+    """
     x = as_point(x, L.dim)
     best = None
     for c in critical_points:
@@ -155,6 +158,8 @@ def critical_distance(L: LatticeBasis, critical_points, x, node_budget=2_000_000
         val, _ = L.coset_min_max_coord(base, node_budget)
         if best is None or val < best:
             best = val
+    if best is None:
+        raise ValueError("no critical points")
     return best
 
 

@@ -76,7 +76,14 @@ class RationalSimplex:
         )
 
     def contains(self, point) -> bool:
-        """Exact closed-simplex membership via barycentric coordinates."""
+        """Exact closed-simplex membership via barycentric coordinates.
+
+        A point of another length than the vertices raises ValueError.
+        """
+        point = tuple(point)
+        if len(point) != self.dim:
+            raise ValueError("point %r has %d coordinates, expected %d"
+                             % (point, len(point), self.dim))
         k = self.dim + 1
         M = [[self.vertices[j][i] for j in range(k)] for i in range(self.dim)]
         M.append([Fraction(1)] * k)

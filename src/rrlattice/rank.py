@@ -216,34 +216,6 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
     return RankResult(rank=best - 1, witness=witness, method="extremal")
 
 
-class RankMethodMismatch(Exception):
-    """The two rank algorithms disagreed (a library invariant break)."""
-
-    def __init__(self, D, brute, extremal):
-        super().__init__(
-            "rank mismatch at %s: bruteforce %d, extremal %d"
-            % (D, brute, extremal)
-        )
-        self.D = D
-        self.brute = brute
-        self.extremal = extremal
-
-
-def _rank(method, L, D, extremal, budget, node_budget) -> int:
-    """Rank of D by the named method; "both" also checks that they agree."""
-    if method == "extremal":
-        return rank_extremal(L, D, extremal, node_budget).rank
-    if method == "bruteforce":
-        return rank_bruteforce(L, D, budget, node_budget).rank
-    if method == "both":
-        a = rank_bruteforce(L, D, budget, node_budget).rank
-        b = rank_extremal(L, D, extremal, node_budget).rank
-        if a != b:
-            raise RankMethodMismatch(D, a, b)
-        return a
-    raise ValueError("unknown rank method %r" % (method,))
-
-
 def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
                             seed=0, random_count=50):
     """Deterministic divisor sample set for the verifiers.
@@ -292,10 +264,14 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget,
                    node_budget, violation):
     """Run violation(D, rank(D), rank(K - D)) over the sample divisors.
 
-    D_samples defaults to default_divisor_samples.  violation returns a
-    report dict or None.  Returns (checked, violations); a sample on which
-    the two rank methods disagree is a violation as well.
+    D_samples defaults to default_divisor_samples.  method is "extremal",
+    "bruteforce" or "both"; violation returns a report dict or None.
+    Returns (checked, violations).  Under "both", a sample on which the two
+    rank methods disagree, for D or for K - D, is a violation naming the
+    divisor ranked.
     """
+    if method not in ("extremal", "bruteforce", "both"):
+        raise ValueError("unknown rank method %r" % (method,))
     if D_samples is None:
         D_samples = default_divisor_samples(L, extremal, seed)
     checked = 0
@@ -303,16 +279,25 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget,
     for D in D_samples:
         D = as_divisor(D, L.dim)
         checked += 1
-        try:
-            rD = _rank(method, L, D, extremal, budget, node_budget)
-            rKD = _rank(method, L, tuple(k - x for k, x in zip(K, D)),
-                        extremal, budget, node_budget)
-        except RankMethodMismatch as e:
-            violations.append({"D": list(D), "method_disagreement": str(e)})
-            continue
-        bad = violation(D, rD, rKD)
-        if bad is not None:
-            violations.append(bad)
+        ranks = []
+        for E in (D, tuple(k - x for k, x in zip(K, D))):
+            found = []  # bruteforce first under "both"
+            if method != "extremal":
+                found.append(rank_bruteforce(L, E, budget, node_budget).rank)
+            if method != "bruteforce":
+                found.append(rank_extremal(L, E, extremal, node_budget).rank)
+            if found[0] != found[-1]:
+                violations.append({
+                    "D": list(D),
+                    "method_disagreement":
+                        "rank mismatch at %s: bruteforce %d, extremal %d"
+                        % (E, found[0], found[-1])})
+                break
+            ranks.append(found[0])
+        else:
+            bad = violation(D, *ranks)
+            if bad is not None:
+                violations.append(bad)
     return checked, violations
 
 

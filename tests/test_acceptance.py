@@ -6,6 +6,7 @@ under plain pytest the per-test PASSED/FAILED verdicts carry the same
 information).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,9 +22,8 @@ from rrlattice.a2 import (
     random_a2_lattice,
 )
 from rrlattice.chipfire import Configuration, fire_script, winnable
-from rrlattice.core import LatticeBasis, degree, picard_cardinality
+from rrlattice.core import LatticeBasis, degree
 from rrlattice.extremal import (
-    Permutation,
     canonical_point,
     classify,
     extremal_set_general,
@@ -55,7 +55,8 @@ from rrlattice.rank import (
     verify_riemann_roch,
 )
 
-from oracles import acyclic_orientations_unique_source, cyclic_order_count
+from oracles import (acyclic_orientations_unique_source, cyclic_order_count,
+                     sympy_tree_count)
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +124,12 @@ def test_criterion_03_canonical_and_genus_formulas(graph_data):
         assert canonical_point(ex, L) == \
             tuple(d - 2 for d in G.degree_sequence()), name
         assert K == tuple(d - 2 for d in G.degree_sequence()), name
-        assert picard_cardinality(L) == spanning_tree_count(G), name
+        assert L.picard_cardinality() == sympy_tree_count(G), name
     m322 = Multigraph.from_edges(3, [(0, 1, 3), (0, 2, 2), (1, 2, 2)])
     ex2 = extremal_set_graphical(m322)
     assert ex2.g_min == ex2.g_max == 5
     assert canonical_point(ex2) == (3, 3, 2)
-    assert picard_cardinality(laplacian_lattice(m322)) == 16 \
+    assert laplacian_lattice(m322).picard_cardinality() == 16 \
         == spanning_tree_count(m322)
     print("PASS: criterion 3 - K = degree-2 and g = m - n on all %d "
           "graphs; reference graph gives g=5, K=(3,3,2), |Pic|=16"
@@ -141,10 +142,10 @@ def test_criterion_04_order_identities(graph_data):
         Q = G.laplacian_rows()
         delta = G.degree_sequence()
         m = G.edge_count
-        for pi in Permutation.all_orders(G.vertex_count):
+        for pi in itertools.permutations(range(G.vertex_count)):
             nu = nu_of_permutation(Q, pi)
             assert degree(nu) == -m, (name, pi)
-            nu_bar = nu_of_permutation(Q, pi.reversed_order())
+            nu_bar = nu_of_permutation(Q, pi[::-1])
             assert tuple(a + b for a, b in zip(nu, nu_bar)) == \
                 tuple(-d for d in delta), (name, pi)
             checked += 1
@@ -211,14 +212,14 @@ def test_criterion_07_nongraphical_extension_chain():
     ex = extremal_set_general(L)
     K = canonical_point(ex, L)
     assert K == (0, -4, 6)
-    pic = picard_cardinality(L)
+    pic = L.picard_cardinality()
     chain = [(L, ex, K)]
     for _ in range(2):
         L_prev, ex_prev, K_prev = chain[-1]
         L_up, ex_up = extend_family(L_prev, ex_prev)
         K_up = canonical_point(ex_up, L_up)
         assert K_up == K_prev + (0,)
-        assert picard_cardinality(L_up) == pic
+        assert L_up.picard_cardinality() == pic
         # extremal classes lift as (v, 0), and adding the new generator q
         # stays inside the lifted class
         q = L_up.rows[-1]

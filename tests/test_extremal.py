@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +9,10 @@ import pytest
 from rrlattice import extremal, geometry
 from rrlattice.a2 import extend_family, random_a2_lattice
 from rrlattice.core import BudgetExceeded, LatticeBasis, degree, project_H0
-from rrlattice.extremal import (ExtremalClass, ExtremalSet, Permutation,
-                                canonical_point, classify,
-                                extremal_set_general, extremal_set_graphical,
-                                nu_of_permutation, reflection_pairing,
-                                voronoi_cell_vertices)
+from rrlattice.extremal import (ExtremalClass, ExtremalSet, canonical_point,
+                                classify, extremal_set_general,
+                                extremal_set_graphical, nu_of_permutation,
+                                reflection_pairing, voronoi_cell_vertices)
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               connected_simple_graphs, laplacian_lattice,
                               random_connected_multigraph)
@@ -21,26 +21,35 @@ import oracles
 from test_rank import NONUNIFORM
 
 
-def test_permutation_type():
-    pi = Permutation((1, 0, 2))
-    assert pi.reversed_order() == Permutation((2, 0, 1))
-    assert len(list(Permutation.all_orders(3))) == 6
+def test_permutation_type(k3):
+    Q = k3.laplacian_rows()
+    assert nu_of_permutation(Q, (1, 0, 2)[::-1]) == \
+        nu_of_permutation(Q, (2, 0, 1))
     with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+        nu_of_permutation(Q, (0, 0, 1))
 
 
-def test_permutation_entries_must_be_integers():
+def test_permutation_entries_must_be_integers(k3):
+    Q = k3.laplacian_rows()
     # (0, 1.7, 2) was accepted as (0, 1, 2)
     with pytest.raises(ValueError):
-        Permutation((0, 1.7, 2))
-    pi = Permutation((0, 2.0, Fraction(2, 2)))
-    assert pi.images == (0, 2, 1)
-    assert all(type(x) is int for x in pi)
+        nu_of_permutation(Q, (0, 1.7, 2))
+    nu = nu_of_permutation(Q, (0, 2.0, Fraction(2, 2)))
+    assert nu == nu_of_permutation(Q, (0, 2, 1))
+    assert all(type(x) is int for x in nu)
+
+
+@pytest.mark.parametrize("pi", [(0, 0, 1), (0, 1.5, 2), (0, 1, 5), (0, 1)])
+def test_nu_rejects_what_is_not_an_order(k3, pi):
+    # (0, 0, 1) gave (2, -2, 0), (0, 1.5, 2) a TypeError and (0, 1, 5) an
+    # IndexError
+    with pytest.raises(ValueError):
+        nu_of_permutation(k3.laplacian_rows(), pi)
 
 
 def test_nu_matches_closed_form(m322):
     Q = m322.laplacian_rows()
-    for pi in Permutation.all_orders(3):
+    for pi in itertools.permutations(range(3)):
         assert nu_of_permutation(Q, pi) == \
             oracles.nu_closed_form(Q, tuple(pi))
 
@@ -83,10 +92,10 @@ def test_order_identities_on_corpus(small_corpus):
         Q = G.laplacian_rows()
         delta = G.degree_sequence()
         k = G.vertex_count
-        for pi in Permutation.all_orders(k):
+        for pi in itertools.permutations(range(k)):
             nu = nu_of_permutation(Q, pi)
             assert degree(nu) == -G.edge_count, name
-            nu_bar = nu_of_permutation(Q, pi.reversed_order())
+            nu_bar = nu_of_permutation(Q, pi[::-1])
             assert tuple(a + b for a, b in zip(nu, nu_bar)) == \
                 tuple(-d for d in delta), name
 
@@ -163,17 +172,18 @@ def test_skew56_scan(skew56_lattice):
     assert L.reduce(K) == L.reduce((9, 9, 6))
 
 
-def _random_rank3_lattice(rng):
+def _random_lattice(rng, n, max_index):
+    """A random rank-n lattice of index at most max_index."""
     while True:
         rows = []
-        for _ in range(3):
-            v = [rng.randint(-3, 3) for _ in range(3)]
+        for _ in range(n):
+            v = [rng.randint(-3, 3) for _ in range(n)]
             rows.append(tuple(v) + (-sum(v),))
         try:
             L = LatticeBasis(rows)
         except ValueError:
             continue
-        if L.picard_cardinality() <= 40:
+        if L.picard_cardinality() <= max_index:
             return L
 
 
@@ -182,7 +192,7 @@ def test_scan_matches_band_scan_oracle(skew56_lattice):
     # Sigma; the oracle walks the whole band under a covering bound
     rng = random.Random(10)
     a2 = [random_a2_lattice(rng) for _ in range(40)]
-    rank3 = [_random_rank3_lattice(rng) for _ in range(20)]
+    rank3 = [_random_lattice(rng, 3, 40) for _ in range(20)]
     digraphs = [laplacian_lattice(G) for G in NONUNIFORM]
     nonuniform = 0
     for L in a2 + rank3 + digraphs + [skew56_lattice]:
@@ -213,21 +223,6 @@ def test_scan_walks_levels_one_to_minus_g_max(skew56_lattice, monkeypatch):
     assert extremal_set_general(L, node_budget=1000) == expected
     with pytest.raises(BudgetExceeded, match="504 class tests"):
         extremal_set_general(L, node_budget=500)
-
-
-def _random_lattice(rng, n, max_index):
-    """A random rank-n lattice of index at most max_index."""
-    while True:
-        rows = []
-        for _ in range(n):
-            v = [rng.randint(-3, 3) for _ in range(n)]
-            rows.append(tuple(v) + (-sum(v),))
-        try:
-            L = LatticeBasis(rows)
-        except ValueError:
-            continue
-        if L.picard_cardinality() <= max_index:
-            return L
 
 
 def test_scan_matches_descending_scan_oracle(skew56_lattice):

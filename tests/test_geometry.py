@@ -161,6 +161,12 @@ def test_critical_distance(k3_lattice, k3_extremal):
     assert critical_distance(k3_lattice, crits, (0, 0, 0)) == 1
 
 
+def test_critical_distance_needs_a_critical_point(k3_lattice):
+    # the minimum over no critical points used to come back as None
+    with pytest.raises(ValueError, match="no critical points"):
+        critical_distance(k3_lattice, [], (0, 0, 0))
+
+
 def test_duality_probe_exact_split(k3_lattice, k3_extremal):
     rng = random.Random(37)
     samples = []

@@ -58,6 +58,14 @@ def test_containment_closed():
     assert not S.contains((-F("1/8"), 0))
 
 
+@pytest.mark.parametrize("point", [(1, 1, 99), (1,), ()])
+def test_contains_rejects_a_point_of_another_length(point):
+    # (1, 1, 99) was cut to (1, 1) and answered True; (1,) raised IndexError
+    S = RationalSimplex(((0, 0), (3, 0), (0, 3)))
+    with pytest.raises(ValueError, match="coordinates"):
+        S.contains(point)
+
+
 def test_json_roundtrip():
     S = RationalSimplex(((F("1/2"), F("1/2")), (F("3/4"), F("1/2")),
                          (F("1/2"), F("3/4"))))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -166,8 +167,9 @@ def test_sample_check_is_charged_before_any_rank(m322_lattice, m322_extremal,
         calls.append("samples")
         return []
 
-    monkeypatch.setattr(rank_module, "_rank",
-                        lambda *args: calls.append("rank"))
+    for name in ("rank_extremal", "rank_bruteforce"):
+        monkeypatch.setattr(rank_module, name,
+                            lambda *args: calls.append("rank"))
     monkeypatch.setattr(rank_module, "default_divisor_samples", no_samples)
     classes = m322_extremal.class_count
     searches = 2 * count * classes
@@ -184,6 +186,34 @@ def test_sample_check_is_charged_before_any_rank(m322_lattice, m322_extremal,
                       node_budget=searches)["checked"] == 0
         assert calls == ["samples"]
         calls.clear()
+
+
+@pytest.mark.parametrize("verify", [verify_riemann_roch, verify_weak_rr])
+def test_unknown_method_raises_without_samples(k3_lattice, k3_extremal,
+                                               verify):
+    # with no samples to rank, "bogus" used to report ok: True
+    with pytest.raises(ValueError, match="unknown rank method"):
+        verify(k3_lattice, k3_extremal, (0, 0, 0), D_samples=[],
+               method="bogus")
+
+
+@pytest.mark.parametrize("verify", [verify_riemann_roch, verify_weak_rr])
+def test_method_disagreement_names_the_divisor_ranked(k3_lattice,
+                                                      k3_extremal, verify):
+    # with a class dropped, rank_extremal misses the obstruction of K - D
+    # for D = (0, 1, -1), and of D itself for D = (0, -1, 1); K is 0
+    ex = dataclasses.replace(k3_extremal, classes=k3_extremal.classes[1:])
+    report = verify(k3_lattice, ex, (0, 0, 0),
+                    D_samples=[(0, 1, -1), (0, -1, 1), (1, 0, 0)],
+                    method="both")
+    assert report["checked"] == 3
+    assert not report["ok"]
+    assert report["violations"] == [
+        {"D": [0, 1, -1], "method_disagreement":
+            "rank mismatch at (0, -1, 1): bruteforce -1, extremal 0"},
+        {"D": [0, -1, 1], "method_disagreement":
+            "rank mismatch at (0, -1, 1): bruteforce -1, extremal 0"},
+    ]
 
 
 @pytest.mark.parametrize("D", [(0.9, 0.9, 0.9), (1, 1), (1, 1, 1, 1)])
