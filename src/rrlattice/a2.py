@@ -236,11 +236,13 @@ def extend_family(L: LatticeBasis, with_rr_data: Optional[ExtremalSet] = None):
     Embeds the rows with a trailing zero and adjoins (0,…,0,-1,1); this is
     the Laplacian lattice of the digraph grown by one vertex tied to the
     last one with an arc in each direction.  When an extremal set for L is
-    supplied, its classes are lifted member-by-member as (v, 0): (u, 0) is
-    in the Sigma region of L_up exactly when u is in L's, and (v, -1) is
-    dominated whenever v - e_n is, so each lifted class stays extremal and
-    genus data, reflection pairings and the canonical point carry over
-    exactly.
+    supplied, each class is lifted through its representative as (v, 0):
+    (u, 0) is in the Sigma region of L_up exactly when u is in L's, and
+    (v, -1) is dominated whenever v - e_n is, so each lifted class stays
+    extremal and genus data and reflection pairings carry over exactly.
+    The canonical point carries over as a class: canonical_point gives
+    (K, 0) when the lifted q_rows are not symmetric, and their diagonal
+    minus 2 when they are, which is (K + e_n, -1) for a multigraph set.
     """
     rows = [tuple(r) + (0,) for r in L.rows]
     rows.append((0,) * L.n + (-1, 1))
@@ -250,9 +252,9 @@ def extend_family(L: LatticeBasis, with_rr_data: Optional[ExtremalSet] = None):
     if not with_rr_data.lattice.same_lattice(L):
         raise ValueError("extremal data does not belong to the given lattice")
     # (v, 0) - (w, 0) lies in L_up exactly when v - w lies in L, so the
-    # lifted members fall into the same classes as before
+    # lifted representatives stay in distinct classes, in the same order
     lifted = _group_into_classes(
-        L_up, [m + (0,) for cls in with_rr_data.classes for m in cls.members])
+        L_up, (r + (0,) for r in with_rr_data.representatives))
     q_up = None
     base_q = _resolve_q_rows(L, with_rr_data)
     if base_q is not None:

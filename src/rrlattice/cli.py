@@ -92,10 +92,10 @@ def _lattice_and_extremal(args):
     """Resolve the (lattice, extremal set, K or None, graph or None) input."""
     if getattr(args, "graph", None):
         G = _load_graph(args.graph)
-        L = laplacian_lattice(G)
+        # the builder refuses k! orders over budget before its lattice
         extremal = extremal_set_graphical(G, node_budget=args.budget)
         K = canonical_divisor(G) if isinstance(G, Multigraph) else None
-        return L, extremal, K, G
+        return extremal.lattice, extremal, K, G
     L = _load_lattice(args.lattice)
     extremal = extremal_set_general(L, node_budget=args.budget)
     return L, extremal, None, None
@@ -152,8 +152,7 @@ def _cmd_extremals(args):
         payload["K"] = list(canonical_point(extremal, L))
     lines = ["critical classes: %d" % extremal.class_count]
     for cls in extremal.classes:
-        lines.append("  rep %s  degree %d  size %d"
-                     % (cls.representative, cls.degree, len(cls.members)))
+        lines.append("  rep %s  degree %d" % (cls.representative, cls.degree))
     lines.append("g_min = %d, g_max = %d" % (extremal.g_min, extremal.g_max))
     lines.append("flags: %s" % json.dumps(_jsonable(flags), sort_keys=True))
     if "K" in payload:
@@ -197,12 +196,11 @@ def _cmd_classify(args):
 
 
 def _cmd_verify_rr(args):
-    L, extremal, K, _ = _lattice_and_extremal(args)
+    L, extremal, _, _ = _lattice_and_extremal(args)
     # the verifiers charge the default sample plan too; charging it here
     # refuses an over-budget plan before the reflection search below
     _charge_samples(L, extremal, None, args.budget)
-    if K is None:  # a multigraph's K needs no reflection search
-        K = canonical_point(extremal, L)
+    K = canonical_point(extremal, L)
     if extremal.uniform:
         report = verify_riemann_roch(L, extremal, K, seed=args.seed,
                                      method=args.method,

@@ -59,15 +59,20 @@ def _nu(Q, order):
 
 @dataclass(frozen=True)
 class ExtremalClass:
-    representative: tuple  # lexicographically least known member
+    """One extremal class modulo the lattice, given by a representative.
+
+    Minimality in Sigma depends only on the class, so every vector of the
+    class is extremal; the representative is the lexicographically least
+    vector the builder met in it.
+    """
+
+    representative: tuple
     degree: int
-    members: tuple  # distinct known members of the class, sorted
 
     def to_json_dict(self):
         return {
             "representative": list(self.representative),
             "degree": self.degree,
-            "members": [list(m) for m in self.members],
         }
 
 
@@ -155,22 +160,18 @@ class ExtremalSet:
 
 
 def _group_into_classes(L: LatticeBasis, vectors):
-    """Group vectors by coset; one ExtremalClass per coset, lex-min rep."""
-    buckets = {}
+    """One ExtremalClass per coset met, sorted by representative.
+
+    vectors is streamed: only the least vector of each coset is kept, and
+    it becomes the class representative.
+    """
+    least = {}
     for v in vectors:
-        buckets.setdefault(L.reduce(v), set()).add(tuple(v))
-    classes = []
-    for key in sorted(buckets):
-        members = tuple(sorted(buckets[key]))
-        classes.append(
-            ExtremalClass(
-                representative=members[0],
-                degree=degree(members[0]),
-                members=members,
-            )
-        )
-    classes.sort(key=lambda c: c.representative)
-    return tuple(classes)
+        v = tuple(v)
+        key = L.reduce(v)
+        if key not in least or v < least[key]:
+            least[key] = v
+    return tuple(ExtremalClass(v, degree(v)) for v in sorted(least.values()))
 
 
 def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
@@ -189,8 +190,8 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
                              "budget %d" % (k, node_budget))
     Q = G.laplacian_rows()
     L = laplacian_lattice(G)
-    vectors = [tuple(a + 1 for a in _nu(Q, order))
-               for order in itertools.permutations(range(k))]
+    vectors = (tuple(a + 1 for a in _nu(Q, order))
+               for order in itertools.permutations(range(k)))
     classes = _group_into_classes(L, vectors)
     if isinstance(G, Multigraph):
         source = "graphical"
@@ -294,17 +295,18 @@ def _reflections(points, canon):
     return out
 
 
-def _basis_and_reflections(extremal: ExtremalSet, L: Optional[LatticeBasis]):
-    """L (extremal.lattice when None) and the (t, pairing) list of extremal.
+def _basis(extremal: ExtremalSet, L: Optional[LatticeBasis]):
+    """L, or extremal.lattice when L is None.
 
-    L may be any basis of extremal.lattice (the HNF is unique, so each t
-    is reduced modulo L's rows too); another lattice raises ValueError.
+    L may be any basis of extremal.lattice (the HNF is unique, so each
+    reflection t is reduced modulo L's rows too); another lattice raises
+    ValueError.
     """
     if L is None:
-        L = extremal.lattice
-    elif not extremal.lattice.same_lattice(L):
+        return extremal.lattice
+    if not extremal.lattice.same_lattice(L):
         raise ValueError("extremal data does not belong to the given lattice")
-    return L, extremal._reflection_list
+    return L
 
 
 def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):
@@ -315,7 +317,8 @@ def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):
     valid the lexicographically least one is reported.  L may be any
     basis of extremal.lattice; another lattice raises ValueError.
     """
-    _, refl = _basis_and_reflections(extremal, L)
+    _basis(extremal, L)
+    refl = extremal._reflection_list
     if not refl:
         return None, None
     t, pairing = refl[0]
@@ -422,7 +425,8 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     (bare scans in rank 3+).  L may be any basis of extremal.lattice;
     another lattice raises ValueError.
     """
-    L, refl = _basis_and_reflections(extremal, L)
+    L = _basis(extremal, L)
+    refl = extremal._reflection_list
     t = refl[0][0] if refl else None
     strong = False  # strongly invariant implies reflection invariant
     if t is not None:
@@ -443,33 +447,27 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
 def canonical_point(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     """The canonical divisor-like point K of a reflection-invariant lattice.
 
-    Pair each class with its reflection partner, keep the pairs of maximal
-    degree sum, and take K = -(most frequent exact member sum) over those
-    pairs, ties broken by the lexicographically least sum.  The frequency
-    rule makes the choice basis-independent, and on Laplacian lattices it
-    recovers (vertex degree - 2) on the nose: member sums concentrate on
-    the order/reversed-order pairing.  L may be any basis of
-    extremal.lattice; another lattice raises ValueError.
+    K is a class modulo the lattice; this picks one vector of it.  When
+    q_rows is symmetric (a multigraph Laplacian, or an extension of one)
+    K is (vertex degree - 2), read off the diagonal: every order vector
+    and its reversed order sum to -K (Baker-Norine), so no reflection
+    search is made.  Otherwise each class is paired with its reflection
+    partner, the pairs of maximal degree sum are kept, and K = -(most
+    frequent representative sum) over those pairs, ties broken by the
+    lexicographically least sum.  L may be any basis of extremal.lattice;
+    another lattice raises ValueError.
     """
-    _, refl = _basis_and_reflections(extremal, L)
-    best = None  # (-count, sum) minimised; counts never mix across t
-    for _, pairing in refl:
-        pair_degree = {
-            i: extremal.classes[i].degree + extremal.classes[pairing[i]].degree
-            for i in pairing
-        }
-        top = max(pair_degree.values())
-        counter = Counter()
-        for i, j in pairing.items():
-            if pair_degree[i] != top:
-                continue
-            for a in extremal.classes[i].members:
-                for b in extremal.classes[j].members:
-                    counter[tuple(x + y for x, y in zip(a, b))] += 1
-        for s, cnt in counter.items():
-            key = (-cnt, s)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    _basis(extremal, L)
+    Q = extremal.q_rows
+    if Q is not None and list(zip(*Q)) == [tuple(r) for r in Q]:
+        return tuple(row[i] - 2 for i, row in enumerate(Q))
+    keys = []  # (-count, sum), minimised; counts never mix across t
+    reps = extremal.representatives
+    for _, pairing in extremal._reflection_list:
+        sums = [tuple(map(add, reps[i], reps[j])) for i, j in pairing.items()]
+        top = max(map(sum, sums))  # the maximal degree sum of a pair
+        counts = Counter(s for s in sums if sum(s) == top)
+        keys.extend((-cnt, s) for s, cnt in counts.items())
+    if not keys:
         raise ValueError("lattice is not reflection invariant; no pairing")
-    return tuple(-x for x in best[1])
+    return tuple(-x for x in min(keys)[1])

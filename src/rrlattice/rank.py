@@ -343,18 +343,15 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
 
 
 def _pairing_is_exact(extremal: ExtremalSet, pairing, K):
-    """True when every paired class has members summing exactly to -K."""
-    target = tuple(-int(x) for x in K)
-    for i, j in pairing.items():
-        a_members = extremal.classes[i].members
-        b_members = extremal.classes[j].members
-        if not any(
-            tuple(x + y for x, y in zip(a, b)) == target
-            for a in a_members
-            for b in b_members
-        ):
-            return False
-    return True
+    """True when every paired class holds vectors summing exactly to -K.
+
+    Every vector of an extremal class is extremal, so this is the class
+    test rep_i + rep_j + K in extremal.lattice.
+    """
+    reps = extremal.representatives
+    return all(extremal.lattice.contains(tuple(a + b + c for a, b, c
+                                               in zip(reps[i], reps[j], K)))
+               for i, j in pairing.items())
 
 
 def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
@@ -365,7 +362,8 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
     For reflection invariant lattices the quantity
     rank(K - D) - rank(D) + degree(D) lies in
     [3*g_min - 2*g_max - 1, g_max - 1].  When the reflection pairing is
-    exact (paired class members sum to -K on the nose) the sharper bound
+    exact (each pair of classes holds vectors summing to -K on the nose,
+    that is rep_i + rep_j + K lies in the lattice) the sharper bound
     rank(K - D) - rank(D) >= g_min - degree(D) - 1 is asserted as well.
     Returns a JSON-ready report listing violations.
     """

@@ -3,10 +3,11 @@
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops, orientation and order
 enumeration) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of six
+src/rrlattice beyond the input types, except the earlier forms of eight
 library algorithms kept as references (is_extremal_linf,
 rank_bruteforce_ascending, extremal_set_band_scan,
-extremal_set_descending_scan, reflections_fractional_part and
+extremal_set_descending_scan, reflections_fractional_part,
+canonical_point_by_members, pairing_is_exact_by_members and
 script_counts_rational), which run on the library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
@@ -368,6 +369,65 @@ def reflections_fractional_part(extremal):
             out.append((t, pairing))
     out.sort(key=lambda entry: entry[0])
     return out
+
+
+def order_class_members(G, extremal):
+    """The member lists an order enumeration keeps: every order vector
+    (plus all-ones) of G that falls in a class of extremal, sorted, one
+    tuple per class in extremal's class order."""
+    Q = G.laplacian_rows()
+    L = extremal.lattice
+    index_of = {L.reduce(c.representative): i
+                for i, c in enumerate(extremal.classes)}
+    members = [set() for _ in extremal.classes]
+    for order in permutations(range(G.vertex_count)):
+        v = tuple(a + 1 for a in nu_closed_form(Q, order))
+        i = index_of.get(L.reduce(v))
+        if i is not None:
+            members[i].add(v)
+    return tuple(tuple(sorted(m)) for m in members)
+
+
+def canonical_point_by_members(extremal, members):
+    """The canonical point as the most frequent exact member sum.
+
+    members[i] lists known vectors of class i.  Each class is paired with
+    its reflection partner, the pairs of maximal degree sum are kept, and
+    K = -(most frequent member sum) over those pairs, ties broken by the
+    lexicographically least sum; ValueError when no reflection exists.
+    """
+    best = None
+    for _, pairing in extremal._reflection_list:
+        pair_degree = {
+            i: extremal.classes[i].degree + extremal.classes[pairing[i]].degree
+            for i in pairing
+        }
+        top = max(pair_degree.values())
+        counter = {}
+        for i, j in pairing.items():
+            if pair_degree[i] != top:
+                continue
+            for a in members[i]:
+                for b in members[j]:
+                    s = tuple(x + y for x, y in zip(a, b))
+                    counter[s] = counter.get(s, 0) + 1
+        for s, cnt in counter.items():
+            key = (-cnt, s)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise ValueError("lattice is not reflection invariant; no pairing")
+    return tuple(-x for x in best[1])
+
+
+def pairing_is_exact_by_members(members, pairing, K):
+    """True when every paired class has known members summing exactly to
+    -K."""
+    target = tuple(-x for x in K)
+    return all(
+        any(tuple(x + y for x, y in zip(a, b)) == target
+            for a in members[i] for b in members[j])
+        for i, j in pairing.items())
 
 
 def strongly_invariant_all_pairs(vertex_set):

@@ -383,3 +383,29 @@ def test_vertex_count_alone_does_not_set_the_cost(tmp_path, capsys):
     assert code == 2 and err.startswith("error:"), err
     assert "connected" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_graph_orders_are_refused_before_the_lattice_is_built(tmp_path,
+                                                              capsys):
+    # a path on 1,000 vertices: the 1000! orders are refused before the
+    # Laplacian lattice's HNF, which alone takes seconds at this size
+    path = tmp_path / "path1000.json"
+    path.write_text(json.dumps(
+        {"vertices": 1000, "edges": [[i, i + 1, 1] for i in range(999)]}))
+    start = time.perf_counter()
+    code = main(["genus", "--graph", str(path), "--budget", "100000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "resource budget exceeded: order enumeration: 1000! orders")
+
+
+def test_extremals_list_representatives_only(files, capsys):
+    code, out = run(capsys, "extremals", "--graph", files["k3"])
+    assert code == 0
+    assert "  rep (-1, 0, 1)  degree 0\n" in out
+    code, out = run(capsys, "extremals", "--graph", files["k3"],
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["classes"][0] == {"representative": [-1, 0, 1],
+                                             "degree": 0}

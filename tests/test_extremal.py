@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from rrlattice.extremal import (ExtremalClass, ExtremalSet, canonical_point,
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               connected_simple_graphs, laplacian_lattice,
                               random_connected_multigraph)
+from rrlattice.rank import verify_weak_rr
 
 import oracles
 from test_rank import NONUNIFORM
@@ -288,10 +290,8 @@ def test_voronoi_cell_rejects_classes_that_are_not_extremal(k3_lattice,
     # criticality is the caller's precondition and is not re-checked; a
     # class that no order of the generator family reaches is named;
     # (1, 1, 1) and (0, 0, 0) are not extremal classes of K3
-    stray = ExtremalClass(representative=(1, 1, 1), degree=3,
-                          members=((1, 1, 1),))
-    origin = ExtremalClass(representative=(0, 0, 0), degree=0,
-                           members=((0, 0, 0),))
+    stray = ExtremalClass(representative=(1, 1, 1), degree=3)
+    origin = ExtremalClass(representative=(0, 0, 0), degree=0)
     replaced = dataclasses.replace(
         k3_extremal, classes=(stray,) + k3_extremal.classes[1:])
     added = dataclasses.replace(
@@ -410,3 +410,128 @@ def test_only_digraph_order_classes_are_filtered(monkeypatch):
         calls.clear()
         assert extremal_set_graphical(G).source == "digraph"
         assert calls
+
+
+def _lift(members):
+    return tuple(tuple(v + (0,) for v in ms) for ms in members)
+
+
+def _scan_members(ex):
+    # a scan keeps one reduced vector per class
+    return tuple((c.representative,) for c in ex.classes)
+
+
+def _symmetric(rows):
+    return list(zip(*rows)) == [tuple(r) for r in rows]
+
+
+@pytest.fixture(scope="module")
+def member_cases(corpus):
+    """(label, set, member lists, K relation): each set with the member
+    lists its builder kept before classes became representatives, and
+    whether canonical_point must return the member rule's K or only a
+    congruent vector."""
+    cases = []
+    for name, G in corpus:
+        ex = extremal_set_graphical(G)
+        members = oracles.order_class_members(G, ex)
+        cases.append((name, ex, members, "equal"))
+        # (K, 0) becomes the lifted Laplacian's (K + e_n, -1)
+        cases.append((name + "+1", extend_family(ex.lattice, ex)[1],
+                      _lift(members), "congruent"))
+    rng = random.Random(24)
+    for i in range(40):
+        ex = extremal_set_general(random_a2_lattice(rng))
+        cases.append(("a2_%d" % i, ex, _scan_members(ex), "equal"))
+        up = extend_family(ex.lattice, ex)[1]
+        # a symmetric digraph basis lifts to a multigraph Laplacian
+        cases.append(("a2_%d+1" % i, up, _lift(_scan_members(ex)),
+                      "congruent" if _symmetric(up.q_rows) else "equal"))
+    for i in range(40):
+        ex = extremal_set_general(_random_lattice(rng, 3, 40))
+        cases.append(("rank3_%d" % i, ex, _scan_members(ex), "equal"))
+    # the criterion-7 chain
+    ex = extremal_set_general(LatticeBasis([(2, -2, 0), (-1, 3, -2)]))
+    members = _scan_members(ex)
+    for step in range(3):
+        cases.append(("chain_%d" % step, ex, members, "equal"))
+        ex, members = extend_family(ex.lattice, ex)[1], _lift(members)
+    for i, G in enumerate(NONUNIFORM):
+        ex = extremal_set_graphical(G)
+        cases.append(("nonuniform_%d" % i, ex,
+                      oracles.order_class_members(G, ex), "congruent"))
+    drng = random.Random(2025)
+    digraphs = 0
+    while digraphs < 40:
+        mat = [[0 if i == j else drng.randint(0, 3) for j in range(3)]
+               for i in range(3)]
+        try:
+            G = RegularDigraph(3, mat)
+        except ValueError:
+            continue
+        ex = extremal_set_graphical(G)
+        cases.append(("digraph_%d" % digraphs, ex,
+                      oracles.order_class_members(G, ex), "congruent"))
+        digraphs += 1
+    return cases
+
+
+def test_canonical_point_matches_the_member_rule(member_cases):
+    # K is read off representatives, or off a symmetric q_rows' diagonal;
+    # the member rule took the most frequent sum of the members kept
+    relations = Counter()
+    for label, ex, members, relation in member_cases:
+        try:
+            want = oracles.canonical_point_by_members(ex, members)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_point(ex)
+            relations["not reflection invariant"] += 1
+            continue
+        K = canonical_point(ex)
+        if relation == "equal":
+            assert K == want, label
+        else:
+            assert ex.lattice.reduce(K) == ex.lattice.reduce(want), label
+        relations[relation] += 1
+    # every relation occurs, and the seeded sets reach enough of each
+    assert relations["equal"] >= 150
+    assert relations["congruent"] >= 80
+    assert relations["not reflection invariant"] >= 1
+
+
+def test_weak_rr_sharp_bound_matches_the_member_test(member_cases):
+    # the class test rep_i + rep_j + K in L against "some kept members sum
+    # to -K" with the member rule's K; they agree on every set here
+    for label, ex, members, _ in member_cases:
+        L = ex.lattice
+        t, pairing = reflection_pairing(ex, L)
+        if t is None:
+            continue
+        K = canonical_point(ex)
+        g = ex.g_max
+        rng = random.Random(len(label))
+        samples = []
+        for _ in range(12):
+            body = [rng.randint(-g, g) for _ in range(L.dim - 1)]
+            body.append(rng.randint(-g, 3 * g) - sum(body))
+            samples.append(tuple(body))
+        report = verify_weak_rr(L, ex, K, D_samples=samples)
+        assert report["ok"], (label, report["violations"][:3])
+        old_K = oracles.canonical_point_by_members(ex, members)
+        assert report["sharp_lower_applies"] == \
+            oracles.pairing_is_exact_by_members(members, pairing, old_K), \
+            label
+
+
+def test_building_the_k8_set_keeps_no_member_lists():
+    # 8! = 40,320 order vectors fall into 7! = 5,040 classes; the builder
+    # streams them and keeps one vector per class
+    tracemalloc.start()
+    try:
+        ex = extremal_set_graphical(Multigraph.complete(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ex.class_count == 5040
+    assert peak < 5 * 2**20, peak
