@@ -157,9 +157,15 @@ def digraph_of_basis(rows) -> RegularDigraph:
 
 
 def _tree_edge_order(L: LatticeBasis, v) -> int:
-    """Least t >= 1 with t*v in L: the lcm of the denominators of v's
-    coordinates over the HNF rows."""
-    return math.lcm(*(c.denominator for c in L.coords(v)))
+    """Least t >= 1 with t*v in L (v integral): at HNF row i, t takes the
+    least factor m making m * x_i / piv_i integral, and x clears row i."""
+    x, t = list(v), 1
+    for row, col, piv in zip(L.hnf, L.pivot_cols, L._pivot_entries):
+        m = piv // math.gcd(x[col], piv)
+        q = m * x[col] // piv
+        x = [m * a - q * b for a, b in zip(x, row)]
+        t *= m
+    return t
 
 
 def _multi_tree_data(L: LatticeBasis):
@@ -204,11 +210,13 @@ def classify_a2(L: LatticeBasis, node_budget=2_000_000):
     Returns {"strong", "critical_classes", "multi_tree"}; by the rank-2
     characterisation, strong holds iff there are two critical classes or
     the lattice is a multi-tree lattice, which callers can cross-check.
+    node_budget bounds its 3! orders and the 3 * 3! vertex steps of
+    classify's cell walk, which runs in integers on the cell scaled by 3.
     """
     basis = digraph_basis(L)
     dg = digraph_of_basis(basis)
     extremal = extremal_set_graphical(dg, node_budget=node_budget)
-    flags = classify(extremal, L)
+    flags = classify(extremal, L, node_budget)
     return {
         "strong": flags["strongly_reflection_invariant"],
         "critical_classes": extremal.class_count,

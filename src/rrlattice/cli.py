@@ -145,7 +145,7 @@ def _cmd_genus(args):
 
 def _cmd_extremals(args):
     L, extremal, _, _ = _lattice_and_extremal(args)
-    flags = classify(extremal, L)
+    flags = classify(extremal, L, node_budget=args.budget)
     payload = extremal.to_json_dict()
     payload["flags"] = flags
     if flags["reflection_invariant"]:
@@ -180,7 +180,7 @@ def _cmd_canonical(args):
 
 def _cmd_classify(args):
     L, extremal, _, _ = _lattice_and_extremal(args)
-    flags = classify(extremal, L)
+    flags = classify(extremal, L, node_budget=args.budget)
     payload = dict(flags)
     payload["critical_classes"] = extremal.class_count
     payload["g_min"] = extremal.g_min

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Optional
 
 from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
@@ -347,7 +347,7 @@ def _resolve_q_rows(L: LatticeBasis, extremal: ExtremalSet):
 
 
 def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
-                          q_rows=None):
+                          q_rows=None, node_budget=2_000_000):
     """Critical points that are vertices of the origin's Voronoi cell.
 
     Read off the simplicial decomposition induced by the zero-sum
@@ -358,7 +358,10 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     the vertices incident to the origin.  A direct metric test (every
     critical translate at distance exactly h from the origin) would be
     wrong here: a lattice point can be tight on a facet shared with a
-    partial sum without the simplex being incident to the origin.
+    partial sum without the simplex being incident to the origin.  The
+    walk runs in integers on the vertices scaled by k = dim, charges its
+    k * k! vertex steps against node_budget before it starts, and divides
+    by k once at the end.
 
     The classes must be L's extremal classes, as the library's builders
     return them; criticality is not re-checked.  A class that no order
@@ -372,6 +375,14 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
         raise ValueError(
             "no generator family available; supply q_rows for rank > 2 scans"
         )
+    return frozenset(tuple(Fraction(x, L.dim) for x in v)
+                     for v in _cell_walk(L, extremal, q_rows, node_budget))
+
+
+def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
+    """voronoi_cell_vertices times k = dim: k * project_H0(nu) = k * nu -
+    deg(nu) * (1, ..., 1) and k * (partial sums) are integers, and the
+    tightness test max(vertex) == h = (k - deg(cls)) / k scales to k - deg."""
     k = L.dim
     if len(q_rows) != k or any(len(r) != k for r in q_rows):
         raise ValueError("q_rows must be %d vectors of length %d" % (k, k))
@@ -382,38 +393,38 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     for r in q_rows:
         if not L.contains(r):
             raise ValueError("q_rows entry %r is not a lattice vector" % (r,))
+    if k * math.factorial(k) > node_budget:
+        raise BudgetExceeded("Voronoi cell walk: %d * %d! vertex steps exceed "
+                             "the node budget %d" % (k, k, node_budget))
     keys = {L.reduce(cls.representative): cls for cls in extremal.classes}
+    k_rows = [tuple(k * x for x in r) for r in q_rows]
     reached = set()
-    one = (1,) * k
     out = set()
     for order in itertools.permutations(range(k)):
         nu = _nu(q_rows, order)
-        key = L.reduce(tuple(a + b for a, b in zip(nu, one)))
+        key = L.reduce(tuple(a + 1 for a in nu))
         cls = keys.get(key)
         if cls is None:
             continue
         reached.add(key)
-        h = Fraction(k - cls.degree, k)
-        c = project_H0(nu)
-        partial = [0] * k
-        for step in range(k):
-            vertex = tuple(ci - pi for ci, pi in zip(c, partial))
-            if max(vertex) != h:
+        d = sum(nu)
+        vertex = tuple(k * a - d for a in nu)
+        for v in order:
+            if max(vertex) != k - cls.degree:
                 raise ValueError("a partial sum of q_rows is not tight at "
                                  "the order of class %r"
                                  % (cls.representative,))
             out.add(vertex)
-            row = q_rows[order[step]]
-            for j in range(k):
-                partial[j] += row[j]
+            vertex = tuple(map(sub, vertex, k_rows[v]))
     for key, cls in keys.items():
         if key not in reached:
             raise ValueError("no order of q_rows reaches class %r"
                              % (cls.representative,))
-    return frozenset(out)
+    return out
 
 
-def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
+def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
+             node_budget=2_000_000):
     """Uniformity and reflection flags for an extremal set.
 
     Returns {"uniform", "reflection_invariant",
@@ -422,8 +433,10 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     invariant), reduced modulo the HNF rows of L.  The strong flag tests
     the exact set equality -V = V + t on the critical vertices V of the
     origin's cell; it is None when no generator family anchors the cell
-    (bare scans in rank 3+).  L may be any basis of extremal.lattice;
-    another lattice raises ValueError.
+    (bare scans in rank 3+).  It runs in integers on the cell scaled by
+    k = dim, which keeps the sort order and the set equality, after the
+    walk's k * k! vertex steps are charged against node_budget.  L may be
+    any basis of extremal.lattice; another lattice raises ValueError.
     """
     L = _basis(extremal, L)
     refl = extremal._reflection_list
@@ -431,11 +444,8 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     strong = False  # strongly invariant implies reflection invariant
     if t is not None:
         q_rows = _resolve_q_rows(L, extremal)
-        if q_rows is None:
-            strong = None
-        else:
-            cell = voronoi_cell_vertices(L, extremal, q_rows=q_rows)
-            strong = bool(_reflections(sorted(cell), lambda v: v))
+        strong = None if q_rows is None else bool(_reflections(
+            sorted(_cell_walk(L, extremal, q_rows, node_budget)), lambda v: v))
     return {
         "uniform": extremal.uniform,
         "reflection_invariant": t is not None,

@@ -349,7 +349,7 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
 
     if "voronoi" in layers:
         from .extremal import voronoi_cell_vertices
-        cell = voronoi_cell_vertices(L, extremal_data)
+        cell = voronoi_cell_vertices(L, extremal_data, node_budget=node_budget)
         if cell:
             planar = [(_planar(v), v) for v in sorted(cell)]
             if any(not _inside_window(pq, window) for pq, _ in planar):

@@ -196,6 +196,10 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
     rank or the witness.
     """
     D = as_divisor(D, L.dim)
+    if not extremal.classes:
+        raise ValueError("extremal set has no classes")
+    if degree(D) < 0:  # no effective divisor has negative degree
+        return RankResult(rank=-1, witness=(0,) * L.dim, method="extremal")
     best = None
     arg = None
     for cls in extremal.classes:
@@ -210,8 +214,6 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
             best, arg = val, x
             if best == 0:
                 break
-    if best is None:
-        raise ValueError("extremal set has no classes")
     witness = tuple(max(c, 0) for c in arg)
     return RankResult(rank=best - 1, witness=witness, method="extremal")
 

@@ -3,12 +3,14 @@
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops, orientation and order
 enumeration) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of eight
+src/rrlattice beyond the input types, except the earlier forms of eleven
 library algorithms kept as references (is_extremal_linf,
 rank_bruteforce_ascending, extremal_set_band_scan,
 extremal_set_descending_scan, reflections_fractional_part,
-canonical_point_by_members, pairing_is_exact_by_members and
-script_counts_rational), which run on the library's own kernels.
+canonical_point_by_members, pairing_is_exact_by_members,
+script_counts_rational, voronoi_cell_vertices_fraction,
+classify_by_fraction_cell and tree_edge_order_by_coords), which run on
+the library's own kernels.
 Expected values frozen into the unit tests were produced by these
 routines.
 """
@@ -439,6 +441,101 @@ def strongly_invariant_all_pairs(vertex_set):
             if {tuple(a + b for a, b in zip(v, t)) for v in vertex_set} == neg:
                 return True
     return False
+
+
+def voronoi_cell_vertices_fraction(L, extremal, q_rows=None):
+    """The Voronoi cell walk in Fraction arithmetic, unscaled and with no
+    budget: the library's voronoi_cell_vertices before it ran on the
+    cell scaled by k = dim.
+
+    Read off the simplicial decomposition induced by the zero-sum
+    generator family q_rows: every order of the generators spans a
+    simplex of partial sums, and when the order's min-vector is extremal
+    its critical point belongs to the cells of exactly those partial
+    sums.  Collecting the translates by the negated partial sums yields
+    the vertices incident to the origin.
+    """
+    import itertools
+
+    from rrlattice.core import project_H0
+    from rrlattice.extremal import _nu, _resolve_q_rows
+
+    if q_rows is None:
+        q_rows = _resolve_q_rows(L, extremal)
+    if q_rows is None:
+        raise ValueError(
+            "no generator family available; supply q_rows for rank > 2 scans"
+        )
+    k = L.dim
+    if len(q_rows) != k or any(len(r) != k for r in q_rows):
+        raise ValueError("q_rows must be %d vectors of length %d" % (k, k))
+    if any(sum(r) != 0 for r in q_rows):
+        raise ValueError("q_rows must be zero-sum")
+    if tuple(sum(col) for col in zip(*q_rows)) != (0,) * k:
+        raise ValueError("q_rows must have zero column sums")
+    for r in q_rows:
+        if not L.contains(r):
+            raise ValueError("q_rows entry %r is not a lattice vector" % (r,))
+    keys = {L.reduce(cls.representative): cls for cls in extremal.classes}
+    reached = set()
+    one = (1,) * k
+    out = set()
+    for order in itertools.permutations(range(k)):
+        nu = _nu(q_rows, order)
+        key = L.reduce(tuple(a + b for a, b in zip(nu, one)))
+        cls = keys.get(key)
+        if cls is None:
+            continue
+        reached.add(key)
+        h = Fraction(k - cls.degree, k)
+        c = project_H0(nu)
+        partial = [0] * k
+        for step in range(k):
+            vertex = tuple(ci - pi for ci, pi in zip(c, partial))
+            if max(vertex) != h:
+                raise ValueError("a partial sum of q_rows is not tight at "
+                                 "the order of class %r"
+                                 % (cls.representative,))
+            out.add(vertex)
+            row = q_rows[order[step]]
+            for j in range(k):
+                partial[j] += row[j]
+    for key, cls in keys.items():
+        if key not in reached:
+            raise ValueError("no order of q_rows reaches class %r"
+                             % (cls.representative,))
+    return frozenset(out)
+
+
+def classify_by_fraction_cell(extremal, L=None):
+    """The library's classify before its strong test ran in integers: the
+    reflection search _reflections on the sorted Fraction vertices of
+    voronoi_cell_vertices_fraction, with identity canonical forms."""
+    from rrlattice.extremal import _basis, _reflections, _resolve_q_rows
+
+    L = _basis(extremal, L)
+    refl = extremal._reflection_list
+    t = refl[0][0] if refl else None
+    strong = False  # strongly invariant implies reflection invariant
+    if t is not None:
+        q_rows = _resolve_q_rows(L, extremal)
+        if q_rows is None:
+            strong = None
+        else:
+            cell = voronoi_cell_vertices_fraction(L, extremal, q_rows=q_rows)
+            strong = bool(_reflections(sorted(cell), lambda v: v))
+    return {
+        "uniform": extremal.uniform,
+        "reflection_invariant": t is not None,
+        "strongly_reflection_invariant": strong,
+        "t": t,
+    }
+
+
+def tree_edge_order_by_coords(L, v):
+    """Least t >= 1 with t*v in L: the lcm of the denominators of v's
+    Fraction coordinates over the HNF rows (L.coords)."""
+    return math.lcm(*(c.denominator for c in L.coords(v)))
 
 
 def sigma_contains_box(rows, D):

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rrlattice.a2 as a2
 from rrlattice.core import LatticeBasis, degree
@@ -106,6 +108,19 @@ def test_tree_edge_order_matches_scan():
         for v in vs:
             assert _tree_edge_order(L, v) == \
                 oracles.element_order_scan(L.rows, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+       v=st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+def test_tree_edge_order_matches_the_coordinate_lcm(rows, v):
+    # integer elimination over the HNF rows against the lcm of the
+    # denominators of v's Fraction coordinates
+    a, b, c, d = rows
+    assume(a * d != b * c)  # the rows are independent
+    L = LatticeBasis([(a, b, -a - b), (c, d, -c - d)])
+    v = v + (-sum(v),)
+    assert _tree_edge_order(L, v) == oracles.tree_edge_order_by_coords(L, v)
 
 
 def test_multi_tree_gets_tree_basis(multitree_lattice):

@@ -409,3 +409,20 @@ def test_extremals_list_representatives_only(files, capsys):
     assert code == 0
     assert json.loads(out)["classes"][0] == {"representative": [-1, 0, 1],
                                              "degree": 0}
+
+
+def test_classify_charges_the_cell_walk_to_the_budget(tmp_path, capsys):
+    # K8: its 8! = 40,320 orders fit the budget, so the set is built; the
+    # cell walk's 8 * 8! = 322,560 vertex steps do not, and it is refused
+    # before it starts (it ran unbudgeted for about 28 s in Fractions)
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps(
+        {"vertices": 8,
+         "edges": [[i, j, 1] for i in range(8) for j in range(i + 1, 8)]}))
+    start = time.perf_counter()
+    code = main(["classify", "--graph", str(path), "--budget", "100000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: Voronoi cell walk: 8 * 8! vertex steps "
+        "exceed the node budget 100000\n")

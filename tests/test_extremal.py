@@ -535,3 +535,59 @@ def test_building_the_k8_set_keeps_no_member_lists():
         tracemalloc.stop()
     assert ex.class_count == 5040
     assert peak < 5 * 2**20, peak
+
+
+def test_integer_cell_walk_matches_the_fraction_walk(corpus):
+    # the cell scaled by k = dim, divided back, against the Fraction walk;
+    # classify's flags, t included, against its strong test on that walk
+    sets = [(name, extremal_set_graphical(G)) for name, G in corpus]
+    sets += [("nonuniform_%d" % i, extremal_set_graphical(G))
+             for i, G in enumerate(NONUNIFORM)]
+    rng = random.Random(25)
+    sets += [("multi_%d" % i,
+              extremal_set_graphical(random_connected_multigraph(rng, 6, 10)))
+             for i in range(40)]
+    sets += [("a2_%d" % i, extremal_set_general(random_a2_lattice(rng)))
+             for i in range(60)]
+    sets += [("K%d" % n, extremal_set_graphical(Multigraph.complete(n)))
+             for n in (6, 7)]
+    strong = Counter()
+    for label, ex in sets:
+        L = ex.lattice
+        cell = voronoi_cell_vertices(L, ex)
+        assert cell == oracles.voronoi_cell_vertices_fraction(L, ex), label
+        assert all(type(x) is Fraction for v in cell for x in v), label
+        flags = classify(ex, L)
+        assert flags == oracles.classify_by_fraction_cell(ex, L), label
+        strong[flags["strongly_reflection_invariant"]] += 1
+    # both strong outcomes occur (every set here has a generator family)
+    assert set(strong) == {True, False}, strong
+
+
+def test_cell_walk_is_charged_before_any_order(monkeypatch):
+    # K5: 5 * 5! = 600 vertex steps, refused at 599 before any order
+    # vector is computed, answered at 600
+    ex = extremal_set_graphical(Multigraph.complete(5))
+    L = ex.lattice
+    want_cell = voronoi_cell_vertices(L, ex)
+    want_flags = classify(ex, L)
+    orders = []
+    nu = extremal._nu
+
+    def counted(Q, order):
+        orders.append(order)
+        return nu(Q, order)
+
+    monkeypatch.setattr(extremal, "_nu", counted)
+    walks = (lambda b: voronoi_cell_vertices(L, ex, node_budget=b),
+             lambda b: classify(ex, L, node_budget=b))
+    for walk in walks:
+        with pytest.raises(BudgetExceeded,
+                           match=r"5 \* 5! vertex steps exceed the node "
+                                 r"budget 599"):
+            walk(5 * 120 - 1)
+        assert orders == []
+    assert voronoi_cell_vertices(L, ex, node_budget=600) == want_cell
+    assert len(orders) == 120
+    assert classify(ex, L, node_budget=600) == want_flags
+    assert len(orders) == 240

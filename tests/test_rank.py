@@ -250,7 +250,7 @@ def test_rank_extremal_stops_at_rank_minus_one(monkeypatch):
     G = Multigraph.complete(4)
     L = laplacian_lattice(G)
     ex = extremal_set_graphical(G)
-    D = (-3, 1, 0, 0)
+    D = (-1, 1, 0, 0)
     assert rank_bruteforce(L, D).rank == -1
     calls = []
     search = LatticeBasis.coset_min_l1
@@ -265,6 +265,28 @@ def test_rank_extremal_stops_at_rank_minus_one(monkeypatch):
     # the first class already reaches deg_plus 0; the other five are
     # left unsearched
     assert len(calls) == 1 < ex.class_count
+
+
+def test_rank_extremal_of_negative_degree_makes_no_search(monkeypatch):
+    # no effective divisor has negative degree, so the rank is -1 with the
+    # zero witness before any coset search
+    G = Multigraph.complete(4)
+    L = laplacian_lattice(G)
+    ex = extremal_set_graphical(G)
+    divisors = [(-3, 1, 0, 0), (-1, 0, 0, 0), (5, -9, 2, 1)]
+    assert [rank_bruteforce(L, D).rank for D in divisors] == [-1, -1, -1]
+    calls = []
+    search = LatticeBasis.coset_min_l1
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return search(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeBasis, "coset_min_l1", counted)
+    for D in divisors:
+        r = rank_extremal(L, D, ex)
+        assert (r.rank, r.witness, r.method) == (-1, (0, 0, 0, 0), "extremal")
+    assert calls == []
 
 
 def test_rank_extremal_within_node_budget():
