@@ -210,8 +210,8 @@ def classify_a2(L: LatticeBasis, node_budget=2_000_000):
     Returns {"strong", "critical_classes", "multi_tree"}; by the rank-2
     characterisation, strong holds iff there are two critical classes or
     the lattice is a multi-tree lattice, which callers can cross-check.
-    node_budget bounds its 3! orders and the 3 * 3! vertex steps of
-    classify's cell walk, which runs in integers on the cell scaled by 3.
+    node_budget bounds its 3! orders and the 3! vertex steps of classify's
+    cell walk, which runs in integers on the cell scaled by 3.
     """
     basis = digraph_basis(L)
     dg = digraph_of_basis(basis)

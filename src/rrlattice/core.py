@@ -23,6 +23,12 @@ class BudgetExceeded(RuntimeError):
     """
 
 
+def _charge(work, units, node_budget):
+    """Raise BudgetExceeded naming work when its units exceed node_budget."""
+    if units > node_budget:
+        raise BudgetExceeded(work + " exceed the node budget %d" % node_budget)
+
+
 Divisor = tuple  # tuple[int, ...], length n+1
 RationalPoint = tuple  # tuple[Fraction, ...]
 
@@ -498,8 +504,8 @@ class LatticeBasis:
                 continue
             nodes += 1
             if nodes > node_budget:
-                raise BudgetExceeded("%s exceeded node budget" % (
-                    "coset enumeration" if box else objective + " search"))
+                work = "coset enumeration" if box else objective + " search"
+                _charge("%s: %d nodes" % (work, nodes), nodes, node_budget)
             v = v0 + q * piv
             path[i] = v
             qs[i] = q + 1

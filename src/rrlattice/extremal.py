@@ -19,7 +19,7 @@ from functools import cached_property
 from operator import add, itemgetter, sub
 from typing import Optional
 
-from .core import BudgetExceeded, LatticeBasis, as_ints, degree, project_H0
+from .core import LatticeBasis, _charge, as_ints, degree, project_H0
 from .geometry import is_extremal, sigma_contains
 # bound here so the benchmark's tracer can wrap it; no code here calls it
 from .geometry import verify_critical  # noqa: F401
@@ -55,6 +55,18 @@ def _nu(Q, order):
         nu[v] = placed[v]
         placed = list(map(add, placed, Q[v]))
     return tuple(nu)
+
+
+def _rooted_orders(k):
+    """The (k - 1)! orders of 0..k-1 that start at vertex 0.
+
+    With zero row and column sums, rotating an order (v0, ..., v_{k-1}) to
+    (v1, ..., v0) turns its order vector nu into nu - Q[v0]: v0's entry
+    becomes the sum of the other rows at v0, which is -Q[v0][v0].  Q[v0]
+    is a lattice vector, so every order is a rotation of a rooted one
+    whose vector lies in the same class.
+    """
+    return ((0,) + rest for rest in itertools.permutations(range(1, k)))
 
 
 @dataclass(frozen=True)
@@ -130,12 +142,11 @@ class ExtremalSet:
         L = self.lattice
         k = L.dim
         kL = LatticeBasis([[k * x for x in row] for row in L.hnf])
-        points = [kL.reduce([int(k * x) for x in p])
-                  for p in self.critical_points()]
+        points = [kL.reduce([k * a - c.degree for a in c.representative])
+                  for c in self.classes]
         out = [(L.fractional_part([Fraction(x, k) for x in t]), pairing)
                for t, pairing in _reflections(points, kL.reduce)]
-        out.sort(key=itemgetter(0))
-        return out
+        return sorted(out, key=itemgetter(0))
 
     @property
     def reflection_vector(self) -> Optional[tuple]:
@@ -182,16 +193,20 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     some are not and are filtered out with is_extremal, which still yields
     every class because each minimal class arises from an order.  A
     Multigraph, the symmetric regular digraph, skips the filter.  The k!
-    orders are charged against node_budget before the walk.
+    order vectors are charged against node_budget before the walk.  They
+    are read as the k rotations of each rooted order (see _rooted_orders):
+    rotating by j subtracts the rows of the j vertices moved to the end,
+    and only the least of the k vectors, which share a class, is reduced.
     """
     k = G.vertex_count
-    if math.factorial(k) > node_budget:
-        raise BudgetExceeded("order enumeration: %d! orders exceed the node "
-                             "budget %d" % (k, node_budget))
+    _charge("order enumeration: %d! orders" % k, math.factorial(k),
+            node_budget)
     Q = G.laplacian_rows()
     L = laplacian_lattice(G)
-    vectors = (tuple(a + 1 for a in _nu(Q, order))
-               for order in itertools.permutations(range(k)))
+    vectors = (min(itertools.accumulate(  # the order's k rotations
+        order[:-1], lambda nu, v: tuple(map(sub, nu, Q[v])),
+        initial=tuple(a + 1 for a in _nu(Q, order))))
+        for order in _rooted_orders(k))
     classes = _group_into_classes(L, vectors)
     if isinstance(G, Multigraph):
         source = "graphical"
@@ -232,9 +247,7 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     above = None
     for d in itertools.count(1, -1):
         tests += index
-        if tests > node_budget:
-            raise BudgetExceeded("extremal scan: %d class tests exceed the "
-                                 "node budget %d" % (tests, node_budget))
+        _charge("extremal scan: %d class tests" % tests, tests, node_budget)
         reps = L.class_representatives(d)
         if above is None:
             level = set(reps)  # every point of positive degree is in Sigma
@@ -268,18 +281,16 @@ def _unit_step(v, i, s):
 def _reflections(points, canon):
     """Every translation t with -P = P + t, with its pairing.
 
-    points are distinct canonical forms (canon(p) == p) of the set P;
-    canon is a lattice's reduce for classes modulo that lattice, or the
-    identity for an exact set.  pairing[i] = j means canon(-(p_i + t)) =
-    p_j.  Every valid t carries -p_0 onto some p_q, so t = canon(-(p_0 +
-    p_q)) for one of only len(points) candidates, and the t come in the
-    order of their q.  A candidate is valid when every canon(-(p_i + t))
-    lies in P; the index map is then injective, so a bijection, and an
-    involution because -(p_j + t) = p_i.  Symmetric sets can admit
-    several valid t.
+    points are distinct canonical forms (canon(p) == p) of the set P of
+    classes modulo a lattice, and canon is that lattice's reduce (an
+    exact set is tested by _point_symmetric).  pairing[i] = j means
+    canon(-(p_i + t)) = p_j.  Every valid t carries -p_0 onto some p_q,
+    so t = canon(-(p_0 + p_q)) for one of only len(points) candidates,
+    and the t come in the order of their q.  A candidate is valid when
+    every canon(-(p_i + t)) lies in P; the index map is then injective,
+    so a bijection, and an involution because -(p_j + t) = p_i.
+    Symmetric sets can admit several valid t.
     """
-    if not points:
-        return []
     index_of = {p: i for i, p in enumerate(points)}
     out = []
     for q in points:
@@ -359,8 +370,9 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     critical translate at distance exactly h from the origin) would be
     wrong here: a lattice point can be tight on a facet shared with a
     partial sum without the simplex being incident to the origin.  The
-    walk runs in integers on the vertices scaled by k = dim, charges its
-    k * k! vertex steps against node_budget before it starts, and divides
+    walk runs in integers on the vertices scaled by k = dim, over the
+    rooted orders only (a rotated order spans the same vertices), charges
+    its k! vertex steps against node_budget before it starts, and divides
     by k once at the end.
 
     The classes must be L's extremal classes, as the library's builders
@@ -382,7 +394,14 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
 def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
     """voronoi_cell_vertices times k = dim: k * project_H0(nu) = k * nu -
     deg(nu) * (1, ..., 1) and k * (partial sums) are integers, and the
-    tightness test max(vertex) == h = (k - deg(cls)) / k scales to k - deg."""
+    tightness test max(vertex) == h = (k - deg(cls)) / k scales to k - deg.
+
+    Each rooted order's k vertices are those of its k rotations: rotating
+    by one starts the list at the second vertex, keeps the degree (the
+    rows sum to zero) and the class, and closes the list because the rows
+    add up to zero.  So the rooted orders alone reach every class and
+    every vertex that all k! orders reach.
+    """
     k = L.dim
     if len(q_rows) != k or any(len(r) != k for r in q_rows):
         raise ValueError("q_rows must be %d vectors of length %d" % (k, k))
@@ -393,14 +412,13 @@ def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
     for r in q_rows:
         if not L.contains(r):
             raise ValueError("q_rows entry %r is not a lattice vector" % (r,))
-    if k * math.factorial(k) > node_budget:
-        raise BudgetExceeded("Voronoi cell walk: %d * %d! vertex steps exceed "
-                             "the node budget %d" % (k, k, node_budget))
+    _charge("Voronoi cell walk: %d! vertex steps" % k, math.factorial(k),
+            node_budget)
     keys = {L.reduce(cls.representative): cls for cls in extremal.classes}
     k_rows = [tuple(k * x for x in r) for r in q_rows]
     reached = set()
     out = set()
-    for order in itertools.permutations(range(k)):
+    for order in _rooted_orders(k):
         nu = _nu(q_rows, order)
         key = L.reduce(tuple(a + 1 for a in nu))
         cls = keys.get(key)
@@ -423,6 +441,18 @@ def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
     return out
 
 
+def _point_symmetric(points):
+    """True when -P = P + t for some t, for a finite set P of vectors.
+
+    v -> -v - t would reverse the lexicographic order of P, so it would
+    carry min(P) to max(P): the only candidate is t = -(min(P) + max(P)).
+    It holds when the map sends every point into P, which makes it a
+    bijection of the finite P.
+    """
+    ends = tuple(map(add, min(points), max(points)))  # -t
+    return all(tuple(map(sub, ends, v)) in points for v in points)
+
+
 def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
              node_budget=2_000_000):
     """Uniformity and reflection flags for an extremal set.
@@ -433,19 +463,18 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
     invariant), reduced modulo the HNF rows of L.  The strong flag tests
     the exact set equality -V = V + t on the critical vertices V of the
     origin's cell; it is None when no generator family anchors the cell
-    (bare scans in rank 3+).  It runs in integers on the cell scaled by
-    k = dim, which keeps the sort order and the set equality, after the
-    walk's k * k! vertex steps are charged against node_budget.  L may be
+    (bare scans in rank 3+).  The test runs in integers on the cell
+    scaled by k = dim, which keeps the order and the set equality, after
+    the walk's k! vertex steps are charged against node_budget.  L may be
     any basis of extremal.lattice; another lattice raises ValueError.
     """
     L = _basis(extremal, L)
-    refl = extremal._reflection_list
-    t = refl[0][0] if refl else None
+    t = extremal.reflection_vector
     strong = False  # strongly invariant implies reflection invariant
     if t is not None:
         q_rows = _resolve_q_rows(L, extremal)
-        strong = None if q_rows is None else bool(_reflections(
-            sorted(_cell_walk(L, extremal, q_rows, node_budget)), lambda v: v))
+        strong = None if q_rows is None else _point_symmetric(
+            _cell_walk(L, extremal, q_rows, node_budget))
     return {
         "uniform": extremal.uniform,
         "reflection_invariant": t is not None,

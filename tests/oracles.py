@@ -3,10 +3,11 @@
 Everything here is deliberately written the dumb way (exhaustive box
 scans, sympy normal forms, closed-form loops, orientation and order
 enumeration) and shares no code with
-src/rrlattice beyond the input types, except the earlier forms of eleven
+src/rrlattice beyond the input types, except the earlier forms of twelve
 library algorithms kept as references (is_extremal_linf,
 rank_bruteforce_ascending, extremal_set_band_scan,
-extremal_set_descending_scan, reflections_fractional_part,
+extremal_set_descending_scan, extremal_set_all_orders,
+reflections_fractional_part,
 canonical_point_by_members, pairing_is_exact_by_members,
 script_counts_rational, voronoi_cell_vertices_fraction,
 classify_by_fraction_cell and tree_edge_order_by_coords), which run on
@@ -373,6 +374,38 @@ def reflections_fractional_part(extremal):
     return out
 
 
+def extremal_set_all_orders(G):
+    """The order enumeration over all k! orders, with no budget: the
+    library's extremal_set_graphical before it read each order as a
+    rotation of one that starts at vertex 0.
+
+    Every order vector (plus all-ones) is grouped by class, the least one
+    met becomes the representative, and a digraph's classes are filtered
+    by is_extremal.
+    """
+    from rrlattice.extremal import ExtremalClass, ExtremalSet
+    from rrlattice.geometry import is_extremal
+    from rrlattice.graphs import Multigraph, laplacian_lattice
+
+    Q = G.laplacian_rows()
+    L = laplacian_lattice(G)
+    least = {}
+    for order in permutations(range(G.vertex_count)):
+        v = tuple(a + 1 for a in nu_closed_form(Q, order))
+        key = L.reduce(v)
+        if key not in least or v < least[key]:
+            least[key] = v
+    classes = tuple(ExtremalClass(v, sum(v)) for v in sorted(least.values()))
+    if isinstance(G, Multigraph):
+        source = "graphical"
+    else:
+        classes = tuple(c for c in classes
+                        if is_extremal(L, c.representative))
+        source = "digraph"
+    return ExtremalSet(lattice=L, classes=classes, source=source,
+                       q_rows=tuple(tuple(r) for r in Q))
+
+
 def order_class_members(G, extremal):
     """The member lists an order enumeration keeps: every order vector
     (plus all-ones) of G that falls in a class of extremal, sorted, one
@@ -444,9 +477,9 @@ def strongly_invariant_all_pairs(vertex_set):
 
 
 def voronoi_cell_vertices_fraction(L, extremal, q_rows=None):
-    """The Voronoi cell walk in Fraction arithmetic, unscaled and with no
-    budget: the library's voronoi_cell_vertices before it ran on the
-    cell scaled by k = dim.
+    """The Voronoi cell walk in Fraction arithmetic, unscaled, over all k!
+    orders and with no budget: the library's voronoi_cell_vertices before
+    it ran on the cell scaled by k = dim and on the rooted orders only.
 
     Read off the simplicial decomposition induced by the zero-sum
     generator family q_rows: every order of the generators spans a
@@ -458,7 +491,7 @@ def voronoi_cell_vertices_fraction(L, extremal, q_rows=None):
     import itertools
 
     from rrlattice.core import project_H0
-    from rrlattice.extremal import _nu, _resolve_q_rows
+    from rrlattice.extremal import _resolve_q_rows
 
     if q_rows is None:
         q_rows = _resolve_q_rows(L, extremal)
@@ -481,7 +514,7 @@ def voronoi_cell_vertices_fraction(L, extremal, q_rows=None):
     one = (1,) * k
     out = set()
     for order in itertools.permutations(range(k)):
-        nu = _nu(q_rows, order)
+        nu = nu_closed_form(q_rows, order)
         key = L.reduce(tuple(a + b for a, b in zip(nu, one)))
         cls = keys.get(key)
         if cls is None:
@@ -508,10 +541,13 @@ def voronoi_cell_vertices_fraction(L, extremal, q_rows=None):
 
 
 def classify_by_fraction_cell(extremal, L=None):
-    """The library's classify before its strong test ran in integers: the
-    reflection search _reflections on the sorted Fraction vertices of
-    voronoi_cell_vertices_fraction, with identity canonical forms."""
-    from rrlattice.extremal import _basis, _reflections, _resolve_q_rows
+    """The library's classify before its strong test ran in integers: a
+    translation search on the Fraction vertices V of
+    voronoi_cell_vertices_fraction.  A valid t carries -min(V) onto some
+    w in V, so the len(V) candidates t = -(min(V) + w) are tried, each by
+    mapping every vertex.  (reflections_all_pairs would try len(V)**2
+    candidates, too many for the 5,040 vertices of K7's cell.)"""
+    from rrlattice.extremal import _basis, _resolve_q_rows
 
     L = _basis(extremal, L)
     refl = extremal._reflection_list
@@ -523,7 +559,13 @@ def classify_by_fraction_cell(extremal, L=None):
             strong = None
         else:
             cell = voronoi_cell_vertices_fraction(L, extremal, q_rows=q_rows)
-            strong = bool(_reflections(sorted(cell), lambda v: v))
+            low = min(cell)
+            for w in sorted(cell):
+                shift = tuple(-(a + b) for a, b in zip(low, w))
+                if all(tuple(-(a + b) for a, b in zip(v, shift)) in cell
+                       for v in cell):
+                    strong = True
+                    break
     return {
         "uniform": extremal.uniform,
         "reflection_invariant": t is not None,

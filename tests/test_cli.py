@@ -412,17 +412,28 @@ def test_extremals_list_representatives_only(files, capsys):
 
 
 def test_classify_charges_the_cell_walk_to_the_budget(tmp_path, capsys):
-    # K8: its 8! = 40,320 orders fit the budget, so the set is built; the
-    # cell walk's 8 * 8! = 322,560 vertex steps do not, and it is refused
-    # before it starts (it ran unbudgeted for about 28 s in Fractions)
+    # the A_2 root lattice: its scan charges 2 class tests, which fit the
+    # budget; the cell walk's 3! vertex steps do not, and it is refused
+    # before it starts
+    path = tmp_path / "a2root.txt"
+    path.write_text("3\n1 -1 0\n0 1 -1\n")
+    code = main(["classify", "--lattice", str(path), "--budget", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: Voronoi cell walk: 3! vertex steps "
+        "exceed the node budget 5\n")
+
+
+def test_classify_walks_k8_within_a_small_budget(tmp_path, capsys):
+    # K8: 8! = 40,320 orders and as many cell vertex steps, both within
+    # --budget 100000
     path = tmp_path / "k8.json"
     path.write_text(json.dumps(
         {"vertices": 8,
          "edges": [[i, j, 1] for i in range(8) for j in range(i + 1, 8)]}))
     start = time.perf_counter()
-    code = main(["classify", "--graph", str(path), "--budget", "100000"])
-    assert time.perf_counter() - start < 2
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "resource budget exceeded: Voronoi cell walk: 8 * 8! vertex steps "
-        "exceed the node budget 100000\n")
+    code, out = run(capsys, "classify", "--graph", str(path),
+                    "--budget", "100000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert "strongly reflection invariant: True\n" in out

@@ -184,6 +184,21 @@ def test_budget_exceeded():
                                     node_budget=5))
 
 
+def test_budget_exceeded_names_the_walk_its_nodes_and_the_budget():
+    # the walk stops at the first node over the budget
+    L = LatticeBasis([(7, -7, 0), (-3, 11, -8)])
+    with pytest.raises(BudgetExceeded, match="^coset enumeration: 6 nodes "
+                                             "exceed the node budget 5$"):
+        list(L.iter_coset_in_bounds((0, 0, 0), (-60,) * 3, (60,) * 3,
+                                    node_budget=5))
+    with pytest.raises(BudgetExceeded, match="^l1 search: 2 nodes exceed "
+                                             "the node budget 1$"):
+        L.coset_min_l1((5, 1, -6), node_budget=1)
+    with pytest.raises(BudgetExceeded, match="^max search: 2 nodes exceed "
+                                             "the node budget 1$"):
+        L.coset_min_max_coord((5, 1, -6), node_budget=1)
+
+
 def test_solve_rational_exact():
     M = [[2, 1, 0], [1, 3, 1], [0, 1, Fraction(1, 2)]]
     b = [1, 0, Fraction(-2, 3)]

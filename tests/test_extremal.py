@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrlattice import extremal, geometry
 from rrlattice.a2 import extend_family, random_a2_lattice
@@ -565,8 +567,8 @@ def test_integer_cell_walk_matches_the_fraction_walk(corpus):
 
 
 def test_cell_walk_is_charged_before_any_order(monkeypatch):
-    # K5: 5 * 5! = 600 vertex steps, refused at 599 before any order
-    # vector is computed, answered at 600
+    # K5: 5! = 120 vertex steps (the 4! rooted orders, 5 vertices each),
+    # refused at 119 before any order vector is computed, answered at 120
     ex = extremal_set_graphical(Multigraph.complete(5))
     L = ex.lattice
     want_cell = voronoi_cell_vertices(L, ex)
@@ -583,11 +585,55 @@ def test_cell_walk_is_charged_before_any_order(monkeypatch):
              lambda b: classify(ex, L, node_budget=b))
     for walk in walks:
         with pytest.raises(BudgetExceeded,
-                           match=r"5 \* 5! vertex steps exceed the node "
-                                 r"budget 599"):
-            walk(5 * 120 - 1)
+                           match=r"Voronoi cell walk: 5! vertex steps exceed "
+                                 r"the node budget 119$"):
+            walk(120 - 1)
         assert orders == []
-    assert voronoi_cell_vertices(L, ex, node_budget=600) == want_cell
-    assert len(orders) == 120
-    assert classify(ex, L, node_budget=600) == want_flags
-    assert len(orders) == 240
+    assert voronoi_cell_vertices(L, ex, node_budget=120) == want_cell
+    assert len(orders) == 24
+    assert all(order[0] == 0 for order in orders)
+    assert classify(ex, L, node_budget=120) == want_flags
+    assert len(orders) == 48
+
+
+def _random_regular_digraph(rng, max_vertices=5, cycles=3):
+    """A sum of directed cycles, so every in-degree equals the out-degree;
+    the first cycle passes through every vertex, which connects them."""
+    k = rng.randint(2, max_vertices)
+    mat = [[0] * k for _ in range(k)]
+    for c in range(cycles):
+        cycle = rng.sample(range(k), k if c == 0 else rng.randint(2, k))
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            mat[i][j] += 1
+    return RegularDigraph(k, mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.data())
+def test_rotating_an_order_subtracts_its_first_row(seed, directed, data):
+    # zero row and column sums: moving v0 to the end fires Q[v0], a lattice
+    # vector, so the rotated order's vector lies in the same class
+    rng = random.Random(seed)
+    G = (_random_regular_digraph(rng) if directed
+         else random_connected_multigraph(rng, 6, 10))
+    Q = G.laplacian_rows()
+    pi = tuple(data.draw(st.permutations(range(G.vertex_count))))
+    nu = nu_of_permutation(Q, pi)
+    assert nu_of_permutation(Q, pi[1:] + pi[:1]) == \
+        tuple(a - b for a, b in zip(nu, Q[pi[0]]))
+
+
+def test_rooted_orders_build_the_all_orders_set(corpus):
+    # the least of each rooted order's k rotations, against every one of
+    # the k! order vectors
+    rng = random.Random(26)
+    graphs = [G for _, G in corpus] + list(NONUNIFORM)
+    graphs += [random_connected_multigraph(rng, 6, 10) for _ in range(40)]
+    graphs += [_random_regular_digraph(rng) for _ in range(40)]
+    graphs += [Multigraph.complete(n) for n in (6, 7, 8)]
+    sources = Counter()
+    for G in graphs:
+        got = extremal_set_graphical(G).to_json_dict()
+        assert got == oracles.extremal_set_all_orders(G).to_json_dict(), G
+        sources[got["source"]] += 1
+    assert sources["digraph"] >= 40, sources
