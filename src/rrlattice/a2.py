@@ -20,7 +20,7 @@ from .extremal import (ExtremalSet, _group_into_classes, _resolve_q_rows,
                        classify, extremal_set_graphical)
 # bound here so the benchmark's tracer can wrap it; no code here calls it
 from .geometry import is_extremal  # noqa: F401
-from .graphs import RegularDigraph
+from .graphs import Multigraph, RegularDigraph
 
 def _cone_index(v) -> Optional[int]:
     """Index i with v in C_i = {g_i >= 0, g_j <= 0 for j != i}, or None.
@@ -72,8 +72,9 @@ def digraph_basis(L: LatticeBasis):
     critical points have extra tight lattice points, so the decomposition
     geometry is degenerate) different valid bases disagree about which
     cell vertices are incident to the origin.  When the lattice is a
-    multi-tree lattice the undirected tree rows are returned, matching
-    how graphical lattices are anchored on their own Laplacian rows.
+    multi-tree lattice the Laplacian rows of that multi-tree are returned,
+    matching how graphical lattices are anchored on their own Laplacian
+    rows.
 
     The basis is built once per lattice and kept in L's cache, so later
     calls on the same LatticeBasis return it at once.
@@ -92,35 +93,20 @@ def _per_lattice(L: LatticeBasis, key, build):
 
 
 def _build_digraph_basis(L: LatticeBasis):
-    """The digraph basis of a rank-2 L (see digraph_basis)."""
+    """The digraph basis of a rank-2 L (see digraph_basis): the Laplacian
+    rows of the multi-tree when L is a multi-tree lattice, otherwise the
+    Gauss-reduced rows, flipped into two distinct cones and absorbed."""
     tree = _multi_tree_data(L)
     if tree is not None:
         centre, mult = tree
-        rows = []
-        for v in range(3):
-            if v == centre:
-                row = [0, 0, 0]
-                for w, m in mult.items():
-                    row[w] = -m
-                row[centre] = sum(mult.values())
-            else:
-                row = [0, 0, 0]
-                row[v] = mult[v]
-                row[centre] = -mult[v]
-            rows.append(tuple(row))
-        return tuple(rows)
+        return Multigraph.from_edges(
+            3, [(centre, w, m) for w, m in mult.items()]).laplacian_rows()
     b0, b1 = _gauss_reduce(L.rows[0], L.rows[1])
     if _cone_index(b0) is None:
         b0 = tuple(-x for x in b0)
     if _cone_index(b1) is None:
         b1 = tuple(-x for x in b1)
-    if _cone_index(b1) == _cone_index(b0):
-        # only possible when both sit on the two boundary rays of one
-        # cone (the reduced angle is at least 60 degrees); their
-        # difference then points into a neighbouring cone pair
-        b1 = tuple(x - y for x, y in zip(b1, b0))
-        if _cone_index(b1) is None:
-            b1 = tuple(-x for x in b1)
+    # no cone holds both: reduced rows in one cone span a multi-tree lattice
     a, b = _cone_index(b0), _cone_index(b1)
     c = 3 - a - b
     b0, b1 = _absorb(b0, b1, a, b)

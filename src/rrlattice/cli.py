@@ -26,8 +26,7 @@ import sys
 from fractions import Fraction
 
 from .core import BudgetExceeded, LatticeBasis, as_fraction, degree
-from .graphs import (Multigraph, canonical_divisor, graph_from_text,
-                     laplacian_lattice)
+from .graphs import Multigraph, graph_from_text, laplacian_lattice
 from .extremal import (canonical_point, classify, extremal_set_general,
                        extremal_set_graphical)
 from .rank import _charge_samples, rank_bruteforce, rank_extremal, \
@@ -89,50 +88,38 @@ def _parse_int_vector(s, dim=None, what="divisor"):
 
 
 def _lattice_and_extremal(args):
-    """Resolve the (lattice, extremal set, K or None, graph or None) input."""
+    """Resolve the (lattice, extremal set) input."""
     if getattr(args, "graph", None):
-        G = _load_graph(args.graph)
         # the builder refuses k! orders over budget before its lattice
-        extremal = extremal_set_graphical(G, node_budget=args.budget)
-        K = canonical_divisor(G) if isinstance(G, Multigraph) else None
-        return extremal.lattice, extremal, K, G
+        extremal = extremal_set_graphical(_load_graph(args.graph),
+                                          node_budget=args.budget)
+        return extremal.lattice, extremal
     L = _load_lattice(args.lattice)
-    extremal = extremal_set_general(L, node_budget=args.budget)
-    return L, extremal, None, None
+    return L, extremal_set_general(L, node_budget=args.budget)
 
 
 def _cmd_rank(args):
-    L, extremal, _, G = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     D = _parse_int_vector(args.divisor, dim=L.dim)
-    if G is None:
-        use_extremal = (extremal.uniform and
-                        extremal.reflection_vector is not None)
-    else:
-        use_extremal = isinstance(G, Multigraph)
     brute = rank_bruteforce(L, D, budget=args.rank_budget,
                             node_budget=args.budget)
+    ext = rank_extremal(L, D, extremal, node_budget=args.budget)
+    agree = ext.rank == brute.rank
     payload = {"divisor": list(D), "degree": degree(D),
-               "rank": brute.rank, "bruteforce": brute.to_json_dict()}
+               "rank": brute.rank, "bruteforce": brute.to_json_dict(),
+               "extremal": ext.to_json_dict(), "agreement": agree}
     lines = ["r(D) = %d  (degree %d)" % (brute.rank, degree(D)),
-             "bruteforce witness: %s" % (brute.witness,)]
-    if use_extremal:
-        ext = rank_extremal(L, D, extremal, node_budget=args.budget)
-        payload["extremal"] = ext.to_json_dict()
-        lines.append("extremal rank: %d" % ext.rank)
-        if ext.rank != brute.rank:
-            payload["agreement"] = False
-            lines.append("METHOD DISAGREEMENT: bruteforce %d vs extremal %d"
-                         % (brute.rank, ext.rank))
-            _emit(args, payload, lines)
-            return 1
-        payload["agreement"] = True
-        lines.append("methods agree")
+             "bruteforce witness: %s" % (brute.witness,),
+             "extremal rank: %d" % ext.rank,
+             "methods agree" if agree else
+             "METHOD DISAGREEMENT: bruteforce %d vs extremal %d"
+             % (brute.rank, ext.rank)]
     _emit(args, payload, lines)
-    return 0
+    return 0 if agree else 1
 
 
 def _cmd_genus(args):
-    L, extremal, _, _ = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     payload = {"g_min": extremal.g_min, "g_max": extremal.g_max,
                "uniform": extremal.uniform,
                "critical_classes": extremal.class_count}
@@ -144,7 +131,7 @@ def _cmd_genus(args):
 
 
 def _cmd_extremals(args):
-    L, extremal, _, _ = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     flags = classify(extremal, L, node_budget=args.budget)
     payload = extremal.to_json_dict()
     payload["flags"] = flags
@@ -162,24 +149,15 @@ def _cmd_extremals(args):
 
 
 def _cmd_canonical(args):
-    L, extremal, K_graph, G = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     K = canonical_point(extremal, L)
-    payload = {"K": list(K), "degree": degree(K)}
-    lines = ["K = %s  (degree %d)" % (K, degree(K))]
-    if K_graph is not None:
-        payload["vertex_degree_minus_two"] = list(K_graph)
-        payload["matches_graph_formula"] = tuple(K) == tuple(K_graph)
-        lines.append("graph formula (deg - 2): %s" % (K_graph,))
-        if tuple(K) != tuple(K_graph):
-            lines.append("MISMATCH with the graph formula")
-            _emit(args, payload, lines)
-            return 1
-    _emit(args, payload, lines)
+    _emit(args, {"K": list(K), "degree": degree(K)},
+          ["K = %s  (degree %d)" % (K, degree(K))])
     return 0
 
 
 def _cmd_classify(args):
-    L, extremal, _, _ = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     flags = classify(extremal, L, node_budget=args.budget)
     payload = dict(flags)
     payload["critical_classes"] = extremal.class_count
@@ -196,7 +174,7 @@ def _cmd_classify(args):
 
 
 def _cmd_verify_rr(args):
-    L, extremal, _, _ = _lattice_and_extremal(args)
+    L, extremal = _lattice_and_extremal(args)
     # the verifiers charge the default sample plan too; charging it here
     # refuses an over-budget plan before the reflection search below
     _charge_samples(L, extremal, None, args.budget)
@@ -338,8 +316,8 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rank", help="rank of a divisor, with method "
-                       "agreement check on graphical input")
+    p = sub.add_parser("rank", help="rank of a divisor by both methods, "
+                       "with an agreement check")
     _add_common(p, either=True)
     p.add_argument("--divisor", required=True, metavar='"a b c"')
     p.add_argument("--rank-budget", type=int, default=24,

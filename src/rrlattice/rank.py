@@ -59,6 +59,9 @@ __all__ = [
     "verify_weak_rr",
 ]
 
+# random divisors in the default sample plan, beyond the degree band
+_RANDOM_SAMPLES = 50
+
 
 @dataclass
 class RankResult:
@@ -219,7 +222,7 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
 
 
 def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
-                            seed=0, random_count=50):
+                            seed=0, random_count=_RANDOM_SAMPLES):
     """Deterministic divisor sample set for the verifiers.
 
     Every divisor class of degree 0 through 2g - 2 contributes its
@@ -247,10 +250,12 @@ def _charge_samples(L, extremal, D_samples, node_budget):
     Each sample takes two ranks, and an extremal rank makes one coset
     search per extremal class, so 2 * samples * classes searches are
     charged against node_budget.  The default samples, every class of
-    degree 0 .. 2g - 2 plus 50 random divisors, are counted, not built.
+    degree 0 .. 2g - 2 plus _RANDOM_SAMPLES random divisors, are counted,
+    not built.
     """
     if D_samples is None:
-        count = L.picard_cardinality() * max(2 * extremal.g_max - 1, 1) + 50
+        count = (L.picard_cardinality() * max(2 * extremal.g_max - 1, 1)
+                 + _RANDOM_SAMPLES)
     else:
         D_samples = list(D_samples)
         count = len(D_samples)

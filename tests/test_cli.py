@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
+import rrlattice.cli as cli
 import rrlattice.extremal as extremal
 from rrlattice.cli import main
 
@@ -15,6 +17,11 @@ def files(tmp_path):
     m322 = tmp_path / "m322.json"
     m322.write_text(json.dumps(
         {"vertices": 3, "edges": [[0, 1, 3], [0, 2, 2], [1, 2, 2]]}))
+    # a regular digraph, not a multigraph (g_min 3, g_max 5)
+    dg3 = tmp_path / "dg3.json"
+    dg3.write_text(json.dumps(
+        {"vertices": 3, "arcs": [[0, 1, 3], [0, 2, 1], [1, 0, 1], [1, 2, 3],
+                                 [2, 0, 3], [2, 1, 1]]}))
     lat = tmp_path / "a2-example.txt"
     lat.write_text("3\n7 -7 0\n-3 11 -8\n")
     mt = tmp_path / "mt.txt"
@@ -31,8 +38,8 @@ def files(tmp_path):
     simplex = tmp_path / "simplex.json"
     simplex.write_text(json.dumps([["1/2", "1/2"], ["3/4", "1/2"],
                                    ["1/2", "3/4"]]))
-    return {"k3": str(k3), "m322": str(m322), "lat": str(lat),
-            "mt": str(mt), "nri": str(nri), "rinu": str(rinu),
+    return {"k3": str(k3), "m322": str(m322), "dg3": str(dg3),
+            "lat": str(lat), "mt": str(mt), "nri": str(nri), "rinu": str(rinu),
             "thin": str(thin),
             "simplex": str(simplex), "tmp": tmp_path}
 
@@ -61,16 +68,54 @@ def test_rank_lattice_example(files, capsys):
                    "methods agree\n")
 
 
-def test_rank_lattice_without_extremal_formula(files, capsys):
-    # the formula needs a uniform, reflection invariant lattice
+def test_rank_cross_checks_lattices_that_are_not_riemann_roch(files,
+                                                               capsys):
+    # the extremal formula holds on every lattice, also on one that is not
+    # reflection invariant (nri) or not uniform (rinu)
     code, out = run(capsys, "rank", "--lattice", files["nri"],
                     "--divisor", "3 -1 2 1")
     assert code == 0
-    assert out == "r(D) = 2  (degree 5)\nbruteforce witness: (0, 0, 2, 1)\n"
+    assert out == ("r(D) = 2  (degree 5)\n"
+                   "bruteforce witness: (0, 0, 2, 1)\n"
+                   "extremal rank: 2\n"
+                   "methods agree\n")
     code, out = run(capsys, "rank", "--lattice", files["rinu"],
                     "--divisor", "3 -1 2 1")
     assert code == 0
-    assert out == "r(D) = 1  (degree 5)\nbruteforce witness: (0, 0, 2, 0)\n"
+    assert out == ("r(D) = 1  (degree 5)\n"
+                   "bruteforce witness: (0, 0, 2, 0)\n"
+                   "extremal rank: 1\n"
+                   "methods agree\n")
+
+
+def test_rank_cross_checks_a_regular_digraph(files, capsys):
+    code, out = run(capsys, "rank", "--graph", files["dg3"],
+                    "--divisor", "3 2 1")
+    assert code == 0
+    assert "r(D) = 2  (degree 6)" in out
+    assert "extremal rank: 2" in out
+    assert "methods agree" in out
+
+
+def test_rank_method_disagreement_exits_1(files, capsys, monkeypatch):
+    real = cli.rank_extremal
+
+    def off_by_one(*args, **kwargs):
+        found = real(*args, **kwargs)
+        return dataclasses.replace(found, rank=found.rank + 1)
+
+    monkeypatch.setattr(cli, "rank_extremal", off_by_one)
+    code, out = run(capsys, "rank", "--graph", files["k3"],
+                    "--divisor", "0 0 0")
+    assert code == 1
+    assert "METHOD DISAGREEMENT: bruteforce 0 vs extremal 1" in out
+    assert "methods agree" not in out
+    code, out = run(capsys, "rank", "--graph", files["k3"],
+                    "--divisor", "0 0 0", "--format", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["agreement"] is False
+    assert obj["rank"] == 0 and obj["extremal"]["rank"] == 1
 
 
 def test_verify_rr_not_reflection_invariant(files, capsys):
@@ -125,7 +170,9 @@ def test_canonical(files, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["K"] == [3, 3, 2]
-    assert obj["matches_graph_formula"] is True
+    # canonical_point is deg - 2 on every multigraph, so no re-check
+    assert "matches_graph_formula" not in obj
+    assert "vertex_degree_minus_two" not in obj
 
 
 def test_a2_subcommand(files, capsys):

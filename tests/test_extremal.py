@@ -356,6 +356,23 @@ def test_classify_m322(m322_extremal, m322_lattice):
     assert m322_lattice.contains(tuple(int(x) for x in diff))
 
 
+def test_rank_one_scan_classifies_on_its_generator_pair():
+    # a bare rank-1 lattice takes (g, -g) as its generator family
+    L = LatticeBasis([(3, -3)])
+    ex = extremal_set_general(L)
+    assert classify(ex, L) == {
+        "uniform": True,
+        "reflection_invariant": True,
+        "strongly_reflection_invariant": True,
+        "t": (0, 0),
+    }
+    cell = voronoi_cell_vertices(L, ex)
+    assert cell == oracles.voronoi_cell_vertices_fraction(
+        L, ex, q_rows=((3, -3), (-3, 3)))
+    assert cell == {(Fraction(-3, 2), Fraction(3, 2)),
+                    (Fraction(3, 2), Fraction(-3, 2))}
+
+
 def test_canonical_equals_degree_formula(small_corpus):
     for name, G in small_corpus[:12]:
         ex = extremal_set_graphical(G)

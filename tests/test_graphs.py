@@ -120,6 +120,16 @@ def test_parsing_roundtrip(m322):
     assert graph_from_text("0 1\n1 2").edge_count == 2
 
 
+def test_arcs_roundtrip():
+    D = RegularDigraph.from_arcs(3, [(0, 1, 3), (0, 2, 1), (1, 0, 1),
+                                     (1, 2, 3), (2, 0, 3), (2, 1, 1)])
+    obj = D.to_json_dict()
+    assert sorted(obj) == ["arcs", "vertices"]
+    E = graph_from_json_dict(json.loads(json.dumps(obj)))
+    assert type(E) is RegularDigraph
+    assert E.arc_mult == D.arc_mult
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_connected_simple_graphs_match_canonical_key_oracle(k):
     # the same graphs with the same labels in the same order: the

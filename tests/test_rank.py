@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from rrlattice import rank as rank_module
 from rrlattice.core import BudgetExceeded, LatticeBasis, degree
-from rrlattice.extremal import extremal_set_general, extremal_set_graphical
+from rrlattice.extremal import (canonical_point, extremal_set_general,
+                                extremal_set_graphical)
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               laplacian_lattice)
-from rrlattice.rank import (_compositions, default_divisor_samples,
+from rrlattice.rank import (_charge_samples, _compositions,
+                            default_divisor_samples,
                             linear_system_nonempty, rank_bruteforce,
                             rank_extremal, verify_riemann_roch,
                             verify_weak_rr)
@@ -189,6 +191,45 @@ def test_sample_check_is_charged_before_any_rank(m322_lattice, m322_extremal,
                       node_budget=searches)["checked"] == 0
         assert calls == ["samples"]
         calls.clear()
+
+
+# reflection invariant, not uniform (g_min 3, g_max 4)
+RINU = LatticeBasis([(-2, 2, 2, -2), (2, 0, 1, -3), (-2, 1, -2, 3)])
+
+
+def test_weak_rr_reports_each_violation_in_full():
+    # K + e_0 is not the canonical point, so the two-sided bound fails
+    ex = extremal_set_general(RINU)
+    K = canonical_point(ex, RINU)
+    assert K == (-2, 0, -5, 12)
+    rep = verify_weak_rr(RINU, ex, (K[0] + 1,) + K[1:])
+    assert not rep["ok"] and rep["checked"] == 120
+    assert len(rep["violations"]) == 10
+    for bad in rep["violations"]:
+        assert set(bad) == {"D", "rank_D", "rank_K_minus_D", "middle",
+                            "lower", "upper", "sharp_lower_applies"}
+        D = tuple(bad["D"])
+        assert bad["rank_D"] == rank_bruteforce(RINU, D).rank
+        assert bad["middle"] == (bad["rank_K_minus_D"] - bad["rank_D"]
+                                 + degree(D))
+        assert (bad["lower"], bad["upper"]) == (0, 3)
+        assert not bad["lower"] <= bad["middle"] <= bad["upper"]
+        assert bad["sharp_lower_applies"] is False
+
+
+def test_charged_sample_count_is_the_default_plan(corpus, skew56_lattice):
+    # the plan is counted, not built, by _charge_samples
+    cases = [(laplacian_lattice(G), extremal_set_graphical(G))
+             for _, G in corpus]
+    for L in (RINU, skew56_lattice, LatticeBasis([(3, -3)])):
+        cases.append((L, extremal_set_general(L)))
+    for L, ex in cases:
+        count = len(default_divisor_samples(L, ex))
+        searches = 2 * count * ex.class_count
+        assert _charge_samples(L, ex, None, searches) is None
+        with pytest.raises(BudgetExceeded, match="^sample check: %d samples"
+                           % count):
+            _charge_samples(L, ex, None, searches - 1)
 
 
 @pytest.mark.parametrize("verify", [verify_riemann_roch, verify_weak_rr])
