@@ -11,6 +11,7 @@ from .core import (
     LatticeBasis,
     deg_plus,
     degree,
+    node_budget,
     project_H0,
 )
 from .graphs import (
@@ -78,6 +79,7 @@ __all__ = [
     "LatticeBasis",
     "deg_plus",
     "degree",
+    "node_budget",
     "project_H0",
     "Multigraph",
     "RegularDigraph",

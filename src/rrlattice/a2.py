@@ -15,7 +15,7 @@ import random
 from types import MappingProxyType
 from typing import Optional
 
-from .core import LatticeBasis
+from .core import LatticeBasis, node_budget
 from .extremal import (ExtremalSet, _group_into_classes, _resolve_q_rows,
                        classify, extremal_set_graphical)
 # bound here so the benchmark's tracer can wrap it; no code here calls it
@@ -190,19 +190,20 @@ def is_multi_tree_lattice(L: LatticeBasis) -> bool:
     return _multi_tree_data(L) is not None
 
 
-def classify_a2(L: LatticeBasis, node_budget=2_000_000):
+def classify_a2(L: LatticeBasis):
     """Strong-invariance data for a full-rank sub-lattice of A_2.
 
     Returns {"strong", "critical_classes", "multi_tree"}; by the rank-2
     characterisation, strong holds iff there are two critical classes or
     the lattice is a multi-tree lattice, which callers can cross-check.
-    node_budget bounds its 3! orders and the 3! vertex steps of classify's
-    cell walk, which runs in integers on the cell scaled by 3.
+    One node_budget block bounds its 3! orders, the reflection search and
+    the 3! vertex steps of classify's cell walk, which runs in integers on
+    the cell scaled by 3.
     """
     basis = digraph_basis(L)
-    dg = digraph_of_basis(basis)
-    extremal = extremal_set_graphical(dg, node_budget=node_budget)
-    flags = classify(extremal, L, node_budget)
+    with node_budget():
+        extremal = extremal_set_graphical(digraph_of_basis(basis))
+        flags = classify(extremal, L)
     return {
         "strong": flags["strongly_reflection_invariant"],
         "critical_classes": extremal.class_count,

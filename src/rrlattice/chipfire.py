@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _hnf_rows, as_divisor, degree
+from .core import _hnf_rows, as_divisor, degree, node_budget
 from .graphs import Multigraph, canonical_divisor, laplacian_lattice
 from .rank import linear_system_nonempty
 
@@ -84,25 +84,23 @@ def _script_from_lattice_vector(G: Multigraph, delta):
     return [c - low for c in counts]
 
 
-def winnable(cfg: Configuration, node_budget=2_000_000):
+def winnable(cfg: Configuration):
     """Whether some firing sequence clears all debt, with a script.
 
     True exactly when the chip vector is equivalent to an effective
     divisor modulo the Laplacian lattice.  On success the returned script
     lists vertex indices (ascending, with repetition) whose firing
     transforms the configuration into that effective divisor; intermediate
-    debt during the script is allowed by the rules.
+    debt during the script is allowed by the rules.  The two HNFs and the
+    coset walk share one node_budget block.
     """
-    L = laplacian_lattice(cfg.graph)
-    ok, E = linear_system_nonempty(L, cfg.chips, node_budget)
-    if not ok:
-        return False, None
-    delta = tuple(c - e for c, e in zip(cfg.chips, E))
-    counts = _script_from_lattice_vector(cfg.graph, delta)
-    script = []
-    for v, c in enumerate(counts):
-        script.extend([v] * c)
-    return True, script
+    with node_budget():
+        ok, E = linear_system_nonempty(laplacian_lattice(cfg.graph), cfg.chips)
+        if not ok:
+            return False, None
+        counts = _script_from_lattice_vector(
+            cfg.graph, tuple(c - e for c, e in zip(cfg.chips, E)))
+    return True, [v for v, c in enumerate(counts) for _ in range(c)]
 
 
 def kc_minus(cfg: Configuration) -> Configuration:

@@ -4,7 +4,9 @@ One subcommand per library area; everything prints to stdout in a stable
 order, as plain text by default or as byte-deterministic JSON with
 ``--format json``.  Exit codes: 0 on success, 1 when a mathematical
 verification fails (rank-method disagreement, a failed identity check, a
-reduction mismatch), 2 on usage or resource errors.
+reduction mismatch), 2 on usage or resource errors.  Each command runs in
+one node_budget block of ``--budget`` units, so the budget bounds the
+command's work as a whole.
 
 Input formats:
 
@@ -25,12 +27,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .core import BudgetExceeded, LatticeBasis, as_fraction, degree
+from .core import (DEFAULT_NODE_BUDGET, BudgetExceeded, LatticeBasis,
+                   as_fraction, degree, node_budget)
 from .graphs import Multigraph, graph_from_text, laplacian_lattice
 from .extremal import (canonical_point, classify, extremal_set_general,
                        extremal_set_graphical)
-from .rank import _charge_samples, rank_bruteforce, rank_extremal, \
-    verify_riemann_roch, verify_weak_rr
+from .rank import (rank_bruteforce, rank_extremal, verify_riemann_roch,
+                   verify_weak_rr)
 from .a2 import classify_a2, digraph_basis
 from .chipfire import Configuration, fire_script, winnable
 from .hardness import (RationalSimplex, reduce_simplex_to_membership,
@@ -91,19 +94,17 @@ def _lattice_and_extremal(args):
     """Resolve the (lattice, extremal set) input."""
     if getattr(args, "graph", None):
         # the builder refuses k! orders over budget before its lattice
-        extremal = extremal_set_graphical(_load_graph(args.graph),
-                                          node_budget=args.budget)
+        extremal = extremal_set_graphical(_load_graph(args.graph))
         return extremal.lattice, extremal
     L = _load_lattice(args.lattice)
-    return L, extremal_set_general(L, node_budget=args.budget)
+    return L, extremal_set_general(L)
 
 
 def _cmd_rank(args):
     L, extremal = _lattice_and_extremal(args)
     D = _parse_int_vector(args.divisor, dim=L.dim)
-    brute = rank_bruteforce(L, D, budget=args.rank_budget,
-                            node_budget=args.budget)
-    ext = rank_extremal(L, D, extremal, node_budget=args.budget)
+    brute = rank_bruteforce(L, D, budget=args.rank_budget)
+    ext = rank_extremal(L, D, extremal)
     agree = ext.rank == brute.rank
     payload = {"divisor": list(D), "degree": degree(D),
                "rank": brute.rank, "bruteforce": brute.to_json_dict(),
@@ -132,7 +133,7 @@ def _cmd_genus(args):
 
 def _cmd_extremals(args):
     L, extremal = _lattice_and_extremal(args)
-    flags = classify(extremal, L, node_budget=args.budget)
+    flags = classify(extremal, L)
     payload = extremal.to_json_dict()
     payload["flags"] = flags
     if flags["reflection_invariant"]:
@@ -158,7 +159,7 @@ def _cmd_canonical(args):
 
 def _cmd_classify(args):
     L, extremal = _lattice_and_extremal(args)
-    flags = classify(extremal, L, node_budget=args.budget)
+    flags = classify(extremal, L)
     payload = dict(flags)
     payload["critical_classes"] = extremal.class_count
     payload["g_min"] = extremal.g_min
@@ -175,20 +176,10 @@ def _cmd_classify(args):
 
 def _cmd_verify_rr(args):
     L, extremal = _lattice_and_extremal(args)
-    # the verifiers charge the default sample plan too; charging it here
-    # refuses an over-budget plan before the reflection search below
-    _charge_samples(L, extremal, None, args.budget)
     K = canonical_point(extremal, L)
-    if extremal.uniform:
-        report = verify_riemann_roch(L, extremal, K, seed=args.seed,
-                                     method=args.method,
-                                     budget=args.rank_budget,
-                                     node_budget=args.budget)
-    else:
-        report = verify_weak_rr(L, extremal, K, seed=args.seed,
-                                method=args.method,
-                                budget=args.rank_budget,
-                                node_budget=args.budget)
+    verify = verify_riemann_roch if extremal.uniform else verify_weak_rr
+    report = verify(L, extremal, K, seed=args.seed, method=args.method,
+                    budget=args.rank_budget)
     lines = ["checked %d divisors" % report["checked"]]
     if "genus" in report:
         lines.append("g = %d" % report["genus"])
@@ -204,10 +195,8 @@ def _cmd_verify_rr(args):
 
 
 def _cmd_picard(args):
-    if args.graph:
-        L = laplacian_lattice(_load_graph(args.graph))
-    else:
-        L = _load_lattice(args.lattice)
+    L = (laplacian_lattice(_load_graph(args.graph)) if args.graph
+         else _load_lattice(args.lattice))
     payload = {"cardinality": L.picard_cardinality(),
                "invariant_factors": list(L.picard_factors())}
     lines = ["|Pic| = %d" % payload["cardinality"],
@@ -223,7 +212,7 @@ def _cmd_chipfire(args):
     chips = _parse_int_vector(args.chips, dim=G.vertex_count,
                               what="chip vector")
     cfg = Configuration(G, chips)
-    ok, script = winnable(cfg, node_budget=args.budget)
+    ok, script = winnable(cfg)
     payload = {"chips": list(chips), "degree": cfg.degree,
                "effective": cfg.is_effective, "winnable": ok,
                "script": script}
@@ -241,7 +230,7 @@ def _cmd_chipfire(args):
 def _cmd_a2(args):
     L = _load_lattice(args.lattice)
     basis = digraph_basis(L)
-    info = classify_a2(L, node_budget=args.budget)
+    info = classify_a2(L)
     payload = {"digraph_basis": [list(r) for r in basis]}
     payload.update(info)
     lines = ["digraph basis:"]
@@ -264,8 +253,8 @@ def _cmd_reduce_simplex(args):
     lines.append("divisor D = %s  (degree %d)" % (D, degree(D)))
     code = 0
     if args.check:
-        has_point = simplex_has_integer_point(S, box_budget=args.budget)
-        in_sigma = sigma_contains(L, D, node_budget=args.budget)
+        has_point = simplex_has_integer_point(S)
+        in_sigma = sigma_contains(L, D)
         payload["integer_point_in_simplex"] = has_point
         payload["divisor_in_sigma"] = in_sigma
         agree = has_point == (not in_sigma)
@@ -284,7 +273,7 @@ def _cmd_render(args):
     layers = tuple(x for x in args.layers.split(",") if x)
     t = as_fraction(args.t) if args.t is not None else None
     svg = svg_render_2d(L, window=as_fraction(args.window), layers=layers,
-                        t=t, scale=args.scale, node_budget=args.budget)
+                        t=t, scale=args.scale)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(svg + "\n")
@@ -296,8 +285,8 @@ def _cmd_render(args):
 
 def _add_common(p, graph=False, lattice=False, either=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="search-node budget for lattice enumerations")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help="work budget for the whole command")
     if either:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--graph", metavar="FILE")
@@ -393,7 +382,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with node_budget(args.budget):
+            return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

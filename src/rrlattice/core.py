@@ -8,6 +8,7 @@ inside Z^(n+1)).  Divisors are plain tuples of ints of length n+1.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from fractions import Fraction
@@ -23,10 +24,60 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-def _charge(work, units, node_budget):
-    """Raise BudgetExceeded naming work when its units exceed node_budget."""
-    if units > node_budget:
-        raise BudgetExceeded(work + " exceed the node budget %d" % node_budget)
+DEFAULT_NODE_BUDGET = 2_000_000
+_METER = contextvars.ContextVar("rrlattice_node_budget", default=None)
+
+
+class node_budget:
+    """A block whose library calls share one work budget of n units.
+
+    Every unit of work the library charges (a search node, a vertex
+    order, a cell-walk vertex step, a class test or reflection reduction,
+    an HNF entry update, a sample search) counts against the innermost
+    active block, and the charge that passes its budget raises
+    BudgetExceeded naming the work, the units spent and the budget.  A
+    block opened inside another gets the smaller of n and what the outer
+    block has left, and its units count against the outer block too.
+
+    node_budget() with no n joins the active block, or opens one of
+    DEFAULT_NODE_BUDGET units when none is active.  Each public function
+    that charges more than once runs its body under it, so a call made
+    outside any block gets the default budget for all its nested calls.
+    """
+
+    def __init__(self, n=None):
+        self.budget, self.spent, self.token = n, 0, None
+
+    def __enter__(self):
+        self.outer = outer = _METER.get()
+        if self.budget is None and outer is not None:
+            return outer
+        n = DEFAULT_NODE_BUDGET if self.budget is None else self.budget
+        self.budget = n if outer is None else min(n, outer.budget - outer.spent)
+        self.token = _METER.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _METER.reset(self.token)
+            if self.outer is not None:
+                self.outer.spent += self.spent
+
+
+def _meter():
+    """The active block, or a fresh one of the default budget."""
+    return _METER.get() or node_budget(DEFAULT_NODE_BUDGET)
+
+
+def _charge(work, units, meter=None):
+    """Add units of work to meter, by default _meter(); raise
+    BudgetExceeded naming work once they take it past its budget."""
+    meter = meter or _meter()
+    spent = meter.spent
+    meter.spent = spent + units
+    if meter.spent > meter.budget:
+        raise BudgetExceeded("%s exceed the work budget %d (%d units spent "
+                             "before)" % (work, meter.budget, spent))
 
 
 Divisor = tuple  # tuple[int, ...], length n+1
@@ -120,8 +171,11 @@ def _hnf_rows(rows):
 
     Returns (hnf, pivot_cols).  hnf has one row per pivot, pivots are
     positive, entries above a pivot are reduced into [0, pivot), so two
-    matrices with the same row lattice get the same hnf.
+    matrices with the same row lattice get the same hnf.  Each batch of
+    row operations is charged by the entries it updates before it is made
+    (see node_budget).
     """
+    meter = _meter()
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -135,10 +189,12 @@ def _hnf_rows(rows):
             nz.sort(key=lambda i: (abs(m[i][col]), i))
             i0 = nz[0]
             a = m[i0][col]
+            # |a| is least, so every q below is nonzero: one row operation
+            # per row of nz[1:]
+            _charge("HNF row operations", (len(nz) - 1) * ncols, meter)
             for i in nz[1:]:
                 q = m[i][col] // a
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
+                m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
         nz = [i for i in range(rank, nrows) if m[i][col] != 0]
         if not nz:
             continue
@@ -155,8 +211,9 @@ def _hnf_rows(rows):
     for r in range(rank):
         col = pivots[r]
         piv = m[r][col]
-        for i in range(r):
-            q = m[i][col] // piv
+        qs = [m[i][col] // piv for i in range(r)]
+        _charge("HNF row operations", (r - qs.count(0)) * ncols, meter)
+        for i, q in enumerate(qs):
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
     return [tuple(r) for r in m[:rank]], pivots
@@ -326,11 +383,13 @@ class LatticeBasis:
         block alternate until the (upper triangular) block is diagonal;
         each pass lowers the first remaining pivot or clears its row and
         column.  A gcd/lcm sweep turns the diagonal into invariant factors.
+        The HNFs share one node_budget block.
         """
         block = [row[:self.n] for row in self.hnf]
-        while any(any(row[i + 1:]) for i, row in enumerate(block)):
-            block = list(zip(*_hnf_rows(zip(*block))[0]))
-            block = _hnf_rows(block)[0]
+        with node_budget():
+            while any(any(row[i + 1:]) for i, row in enumerate(block)):
+                # the transposed column HNF is the next row HNF's input
+                block = _hnf_rows(zip(*_hnf_rows(zip(*block))[0]))[0]
         diag = [block[i][i] for i in range(self.n)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -362,13 +421,15 @@ class LatticeBasis:
     # geometry.py), "l1" and "max" from the incumbent's value (coset_min_l1
     # and coset_min_max_coord).
 
-    def iter_coset_in_bounds(self, base, lower, upper, node_budget=2_000_000):
+    def iter_coset_in_bounds(self, base, lower, upper):
         """All vectors base + (integer combo of rows) inside given bounds.
 
         lower/upper are per-coordinate inclusive bounds (ints, Fractions or
         None for unbounded).  Each pivot column's bounds prune its level of
         the walk, and the free coordinate's, as the sum fixes it, the last.
-        The vectors come in increasing lexicographic order.
+        The vectors come in increasing lexicographic order.  A generator
+        holds no node_budget block across its yields: the walk draws on
+        the block active when it starts, or on a default one of its own.
         """
         # walk den * (base + L) over the integers, divide once per vector
         den = math.lcm(*(t.denominator for t in base))
@@ -377,11 +438,10 @@ class LatticeBasis:
         hi = [None if t is None else math.floor(t * den) for t in upper]
         if None in lo[:self.n] or None in hi[:self.n]:
             raise ValueError("pivot coordinate bounds must be finite")
-        for v in self._branch_and_bound(num, den, (lo, hi), "box",
-                                        node_budget):
+        for v in self._branch_and_bound(num, den, (lo, hi), "box"):
             yield v if den == 1 else tuple(Fraction(x, den) for x in v)
 
-    def find_effective_in_coset(self, base, node_budget=2_000_000):
+    def find_effective_in_coset(self, base):
         """The lexicographically least vector >= 0 congruent to base, or None.
 
         base is a divisor: dim integers (ValueError otherwise, see
@@ -395,8 +455,7 @@ class LatticeBasis:
         if total < 0:
             return None
         box = ([0] * self.dim, [total] * self.dim)
-        return next(self._branch_and_bound(base, 1, box, "box", node_budget),
-                    None)
+        return next(self._branch_and_bound(base, 1, box, "box"), None)
 
     def _babai_point(self, num, den):
         """A lattice point near num/den (sequential rounding over HNF rows).
@@ -415,7 +474,7 @@ class LatticeBasis:
                     rem[j] -= q * den * row[j]
         return self.from_coords(c)
 
-    def _branch_and_bound(self, base, scale, cap, objective, node_budget):
+    def _branch_and_bound(self, base, scale, cap, objective):
         """The points of base + scale*L that the objective admits, as leaves.
 
         base is an integer vector.  Level i of the depth-first walk fixes
@@ -445,6 +504,11 @@ class LatticeBasis:
         lattice, in __init__; only a walk with scale != 1 (the rational
         bases of coset_min_max_coord and iter_coset_in_bounds) scales a
         copy of them.
+
+        The walk reads what the active node_budget block has left (see
+        _meter) when it starts and after each yield, counts its nodes in a
+        local and charges them at each leaf and when it ends, so no node
+        looks the block up.
         """
         n = self.n
         l1 = objective == "l1"
@@ -469,6 +533,9 @@ class LatticeBasis:
         qs = [None] * n
         path = [0] * n
         bound = cap
+        meter = _meter()
+        left = meter.budget - meter.spent
+        work = "coset enumeration" if box else objective + " search"
         nodes = 0
         i = 0
         while i >= 0:
@@ -503,20 +570,21 @@ class LatticeBasis:
                 i -= 1
                 continue
             nodes += 1
-            if nodes > node_budget:
-                work = "coset enumeration" if box else objective + " search"
-                _charge("%s: %d nodes" % (work, nodes), nodes, node_budget)
+            if nodes > left:
+                _charge("%s: %d nodes" % (work, nodes), nodes, meter)
             v = v0 + q * piv
             path[i] = v
             qs[i] = q + 1
             if i + 1 == n:
                 f = R - v
+                _charge(work, nodes, meter)
                 if box:
                     yield tuple(path) + (f,)
                 else:
                     value = acc + abs(v) + abs(f) if l1 else max(acc, v, f)
                     bound = value - 1
                     yield value, tuple(path) + (f,)
+                left, nodes = meter.budget - meter.spent, 0
             else:
                 rests[i + 1] = [a + q * b for a, b in zip(rest[1:], tails[i])]
                 if not box:
@@ -524,8 +592,9 @@ class LatticeBasis:
                 sums[i + 1] = R - v
                 qs[i + 1] = None
                 i += 1
+        _charge(work, nodes, meter)
 
-    def coset_min_max_coord(self, base, node_budget=2_000_000):
+    def coset_min_max_coord(self, base):
         """Minimise the max coordinate over base + L, exactly.
 
         base may be rational; it must sum to zero.  Returns (value, point)
@@ -542,11 +611,11 @@ class LatticeBasis:
         cap = max(a - den * b for a, b in zip(num, near))
         # each leaf beats the last, so min is the final leaf: the
         # lexicographically least minimiser
-        leaves = self._branch_and_bound(num, den, cap, "max", node_budget)
+        leaves = self._branch_and_bound(num, den, cap, "max")
         val, point = min(leaves, key=itemgetter(0))
         return Fraction(val, den), tuple(Fraction(x, den) for x in point)
 
-    def coset_min_l1(self, base, node_budget=2_000_000, cap=None):
+    def coset_min_l1(self, base, cap=None):
         """Minimal l1 norm over the coset base + L, with an attaining vector.
 
         Branch and bound over the HNF rows.  The returned vector is the
@@ -562,5 +631,5 @@ class LatticeBasis:
         near = self._babai_point([self.dim * a - total for a in base], self.dim)
         start = sum(abs(a - b) for a, b in zip(base, near))
         cap = start if cap is None else min(cap, start)
-        leaves = self._branch_and_bound(base, 1, cap, "l1", node_budget)
+        leaves = self._branch_and_bound(base, 1, cap, "l1")
         return min(leaves, key=itemgetter(0), default=None)

@@ -19,7 +19,8 @@ from functools import cached_property
 from operator import add, itemgetter, sub
 from typing import Optional
 
-from .core import LatticeBasis, _charge, as_ints, degree, project_H0
+from .core import (LatticeBasis, _charge, as_ints, degree, node_budget,
+                   project_H0)
 from .geometry import is_extremal, sigma_contains
 # bound here so the benchmark's tracer can wrap it; no code here calls it
 from .geometry import verify_critical  # noqa: F401
@@ -137,15 +138,19 @@ class ExtremalSet:
         integral, and x = y modulo L exactly when k * x = k * y modulo
         k * L, whose HNF is k times L's.  So each canonical form is an
         integer reduce, and only the valid t are carried back to
-        fractional_part form, before the sort.
+        fractional_part form, before the sort.  Its HNF and its
+        reductions, one per class for the points and then those of
+        _reflections, share one node_budget block.
         """
         L = self.lattice
         k = L.dim
-        kL = LatticeBasis([[k * x for x in row] for row in L.hnf])
-        points = [kL.reduce([k * a - c.degree for a in c.representative])
-                  for c in self.classes]
-        out = [(L.fractional_part([Fraction(x, k) for x in t]), pairing)
-               for t, pairing in _reflections(points, kL.reduce)]
+        with node_budget():
+            kL = LatticeBasis([[k * x for x in row] for row in L.hnf])
+            _charge("reflection search: class points", self.class_count)
+            points = [kL.reduce([k * a - c.degree for a in c.representative])
+                      for c in self.classes]
+            out = [(L.fractional_part([Fraction(x, k) for x in t]), pairing)
+                   for t, pairing in _reflections(points, kL.reduce)]
         return sorted(out, key=itemgetter(0))
 
     @property
@@ -185,7 +190,7 @@ def _group_into_classes(L: LatticeBasis, vectors):
     return tuple(ExtremalClass(v, degree(v)) for v in sorted(least.values()))
 
 
-def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
+def extremal_set_graphical(G) -> ExtremalSet:
     """Extremal classes of a Laplacian lattice via order enumeration.
 
     For undirected multigraphs every order vector (plus all-ones) is a
@@ -193,33 +198,32 @@ def extremal_set_graphical(G, node_budget=2_000_000) -> ExtremalSet:
     some are not and are filtered out with is_extremal, which still yields
     every class because each minimal class arises from an order.  A
     Multigraph, the symmetric regular digraph, skips the filter.  The k!
-    order vectors are charged against node_budget before the walk.  They
-    are read as the k rotations of each rooted order (see _rooted_orders):
+    order vectors are charged to one node_budget block before the walk,
+    which the lattice's HNF and the filter then draw on.  They are read
+    as the k rotations of each rooted order (see _rooted_orders):
     rotating by j subtracts the rows of the j vertices moved to the end,
     and only the least of the k vectors, which share a class, is reduced.
     """
     k = G.vertex_count
-    _charge("order enumeration: %d! orders" % k, math.factorial(k),
-            node_budget)
-    Q = G.laplacian_rows()
-    L = laplacian_lattice(G)
-    vectors = (min(itertools.accumulate(  # the order's k rotations
-        order[:-1], lambda nu, v: tuple(map(sub, nu, Q[v])),
-        initial=tuple(a + 1 for a in _nu(Q, order))))
-        for order in _rooted_orders(k))
-    classes = _group_into_classes(L, vectors)
-    if isinstance(G, Multigraph):
+    with node_budget():
+        _charge("order enumeration: %d! orders" % k, math.factorial(k))
+        Q = G.laplacian_rows()
+        L = laplacian_lattice(G)
+        vectors = (min(itertools.accumulate(  # the order's k rotations
+            order[:-1], lambda nu, v: tuple(map(sub, nu, Q[v])),
+            initial=tuple(a + 1 for a in _nu(Q, order))))
+            for order in _rooted_orders(k))
+        classes = _group_into_classes(L, vectors)
         source = "graphical"
-    else:
-        classes = tuple(
-            c for c in classes if is_extremal(L, c.representative, node_budget)
-        )
-        source = "digraph"
+        if not isinstance(G, Multigraph):
+            classes = tuple(c for c in classes
+                            if is_extremal(L, c.representative))
+            source = "digraph"
     return ExtremalSet(lattice=L, classes=classes, source=source,
                        q_rows=tuple(tuple(r) for r in Q))
 
 
-def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
+def extremal_set_general(L: LatticeBasis) -> ExtremalSet:
     """Extremal classes by a descending degree scan, for any rank.
 
     Every point of positive degree is in Sigma, and a minimal v needs
@@ -237,35 +241,34 @@ def extremal_set_general(L: LatticeBasis, node_budget=2_000_000) -> ExtremalSet:
     no further coset walk: a kept v of degree d is minimal exactly when no
     v - e_i is in Sigma, that is when no reduce(v - e_i) is kept at level
     d - 1.  So every kept representative of the last non-empty level is
-    minimal.  Each level charges its index many class tests against
-    node_budget before it is walked.
+    minimal.  Each level charges its index many class tests before it is
+    walked, to one node_budget block that the walks share.
     """
     index = L.picard_cardinality()
     steps = range(L.dim)
-    tests = 0
     found = []
     above = None
-    for d in itertools.count(1, -1):
-        tests += index
-        _charge("extremal scan: %d class tests" % tests, tests, node_budget)
-        reps = L.class_representatives(d)
-        if above is None:
-            level = set(reps)  # every point of positive degree is in Sigma
-        else:
-            # upward closure: rep is in Sigma only if every rep + e_i is
-            level = {rep for rep in reps
-                     if all(L.reduce(_unit_step(rep, i, 1)) in above
-                            for i in steps)
-                     and sigma_contains(L, rep, node_budget)}
-            # level d decides which representatives of level d + 1 are
-            # minimal
-            found.extend(
-                v for v in above
-                if not any(L.reduce(_unit_step(v, i, -1)) in level
-                           for i in steps))
-        if not level:
-            break
-        above = level
+    with node_budget():
+        for d in itertools.count(1, -1):
+            _charge("extremal scan: %d class tests" % index, index)
+            reps = L.class_representatives(d)
+            if above is None:
+                level = set(reps)  # every point of positive degree is in Sigma
+            else:
+                # upward closure: rep is in Sigma only if every rep + e_i is
+                level = {rep for rep in reps
+                         if all(L.reduce(_unit_step(rep, i, 1)) in above
+                                for i in steps)
+                         and sigma_contains(L, rep)}
+                # level d decides which representatives of level d + 1 are
+                # minimal
+                found.extend(
+                    v for v in above
+                    if not any(L.reduce(_unit_step(v, i, -1)) in level
+                               for i in steps))
+            if not level:
+                break
+            above = level
     classes = _group_into_classes(L, found)
     return ExtremalSet(lattice=L, classes=classes, source="scan")
 
@@ -289,7 +292,8 @@ def _reflections(points, canon):
     and the t come in the order of their q.  A candidate is valid when
     every canon(-(p_i + t)) lies in P; the index map is then injective,
     so a bijection, and an involution because -(p_j + t) = p_i.
-    Symmetric sets can admit several valid t.
+    Symmetric sets can admit several valid t.  Each candidate charges its
+    canon calls, at most len(points) + 1, once it is decided.
     """
     index_of = {p: i for i, p in enumerate(points)}
     out = []
@@ -303,6 +307,7 @@ def _reflections(points, canon):
             pairing[i] = j
         else:
             out.append((t, pairing))
+        _charge("reflection search: %d reductions" % (i + 2), i + 2)
     return out
 
 
@@ -326,7 +331,9 @@ def reflection_pairing(extremal: ExtremalSet, L: LatticeBasis):
     pairing[i] = j means negation carries class i onto class j shifted by
     t; the map is an involution on class indices.  When several t are
     valid the lexicographically least one is reported.  L may be any
-    basis of extremal.lattice; another lattice raises ValueError.
+    basis of extremal.lattice; another lattice raises ValueError.  The
+    reflection search, made once per set, is charged to the active
+    node_budget block (see ExtremalSet._reflection_list).
     """
     _basis(extremal, L)
     refl = extremal._reflection_list
@@ -358,7 +365,7 @@ def _resolve_q_rows(L: LatticeBasis, extremal: ExtremalSet):
 
 
 def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
-                          q_rows=None, node_budget=2_000_000):
+                          q_rows=None):
     """Critical points that are vertices of the origin's Voronoi cell.
 
     Read off the simplicial decomposition induced by the zero-sum
@@ -372,8 +379,8 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     partial sum without the simplex being incident to the origin.  The
     walk runs in integers on the vertices scaled by k = dim, over the
     rooted orders only (a rotated order spans the same vertices), charges
-    its k! vertex steps against node_budget before it starts, and divides
-    by k once at the end.
+    its k! vertex steps to the active node_budget block before it starts,
+    and divides by k once at the end.
 
     The classes must be L's extremal classes, as the library's builders
     return them; criticality is not re-checked.  A class that no order
@@ -388,10 +395,10 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
             "no generator family available; supply q_rows for rank > 2 scans"
         )
     return frozenset(tuple(Fraction(x, L.dim) for x in v)
-                     for v in _cell_walk(L, extremal, q_rows, node_budget))
+                     for v in _cell_walk(L, extremal, q_rows))
 
 
-def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
+def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows):
     """voronoi_cell_vertices times k = dim: k * project_H0(nu) = k * nu -
     deg(nu) * (1, ..., 1) and k * (partial sums) are integers, and the
     tightness test max(vertex) == h = (k - deg(cls)) / k scales to k - deg.
@@ -412,8 +419,7 @@ def _cell_walk(L: LatticeBasis, extremal: ExtremalSet, q_rows, node_budget):
     for r in q_rows:
         if not L.contains(r):
             raise ValueError("q_rows entry %r is not a lattice vector" % (r,))
-    _charge("Voronoi cell walk: %d! vertex steps" % k, math.factorial(k),
-            node_budget)
+    _charge("Voronoi cell walk: %d! vertex steps" % k, math.factorial(k))
     keys = {L.reduce(cls.representative): cls for cls in extremal.classes}
     k_rows = [tuple(k * x for x in r) for r in q_rows]
     reached = set()
@@ -453,8 +459,7 @@ def _point_symmetric(points):
     return all(tuple(map(sub, ends, v)) in points for v in points)
 
 
-def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
-             node_budget=2_000_000):
+def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     """Uniformity and reflection flags for an extremal set.
 
     Returns {"uniform", "reflection_invariant",
@@ -465,16 +470,18 @@ def classify(extremal: ExtremalSet, L: Optional[LatticeBasis] = None,
     origin's cell; it is None when no generator family anchors the cell
     (bare scans in rank 3+).  The test runs in integers on the cell
     scaled by k = dim, which keeps the order and the set equality, after
-    the walk's k! vertex steps are charged against node_budget.  L may be
-    any basis of extremal.lattice; another lattice raises ValueError.
+    the walk's k! vertex steps are charged.  The reflection search and the
+    cell walk share one node_budget block.  L may be any basis of
+    extremal.lattice; another lattice raises ValueError.
     """
     L = _basis(extremal, L)
-    t = extremal.reflection_vector
-    strong = False  # strongly invariant implies reflection invariant
-    if t is not None:
-        q_rows = _resolve_q_rows(L, extremal)
-        strong = None if q_rows is None else _point_symmetric(
-            _cell_walk(L, extremal, q_rows, node_budget))
+    with node_budget():
+        t = extremal.reflection_vector
+        strong = False  # strongly invariant implies reflection invariant
+        if t is not None:
+            q_rows = _resolve_q_rows(L, extremal)
+            strong = None if q_rows is None else _point_symmetric(
+                _cell_walk(L, extremal, q_rows))
     return {
         "uniform": extremal.uniform,
         "reflection_invariant": t is not None,
@@ -493,7 +500,8 @@ def canonical_point(extremal: ExtremalSet, L: Optional[LatticeBasis] = None):
     search is made.  Otherwise each class is paired with its reflection
     partner, the pairs of maximal degree sum are kept, and K = -(most
     frequent representative sum) over those pairs, ties broken by the
-    lexicographically least sum.  L may be any basis of extremal.lattice;
+    lexicographically least sum; that reflection search is charged to the
+    active node_budget block.  L may be any basis of extremal.lattice;
     another lattice raises ValueError.
     """
     _basis(extremal, L)

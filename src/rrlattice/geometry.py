@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .core import LatticeBasis, as_divisor, as_point, degree
+from .core import LatticeBasis, as_divisor, as_point, degree, node_budget
 
 
 def simplicial_distance(p, q, orientation: str = "up"):
@@ -40,7 +41,7 @@ def simplicial_distance(p, q, orientation: str = "up"):
     return int(m) if m.denominator == 1 else m
 
 
-def h_distance(L: LatticeBasis, x, node_budget=2_000_000):
+def h_distance(L: LatticeBasis, x):
     """Distance from x to the nearest lattice point, with that point.
 
     x is a rational point of degree 0.  Returns (value, nearest) where the
@@ -51,14 +52,14 @@ def h_distance(L: LatticeBasis, x, node_budget=2_000_000):
     if sum(x) != 0:
         raise ValueError("expected a point of degree 0")
     # min over p in L of max_i (x_i - p_i); substitute q = -p (L = -L).
-    val, translate = L.coset_min_max_coord(x, node_budget)
+    val, translate = L.coset_min_max_coord(x)
     nearest = tuple(int(a - b) for a, b in zip(x, translate))
     if val.denominator == 1:
         val = int(val)
     return val, nearest
 
 
-def sigma_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
+def sigma_contains(L: LatticeBasis, D) -> bool:
     """True iff no lattice point dominates D coordinate-wise.
 
     A dominating point p >= D has degree 0 >= degree(D), so positive
@@ -70,24 +71,22 @@ def sigma_contains(L: LatticeBasis, D, node_budget=2_000_000) -> bool:
     if degree(D) > 0:
         return True
     neg = tuple(-t for t in D)
-    return L.find_effective_in_coset(neg, node_budget) is None
+    return L.find_effective_in_coset(neg) is None
 
 
-def is_extremal(L: LatticeBasis, v, node_budget=2_000_000) -> bool:
+def is_extremal(L: LatticeBasis, v) -> bool:
     """Whether v is a minimal element of the Sigma region.
 
     v must be in the region and no v - e_i may be in it.  The region is
     closed upwards (if no lattice point dominates u, none dominates u + w
     for w >= 0), so these n + 1 points decide minimality against every
-    point below v.
+    point below v.  Their walks share one node_budget block.
     """
     v = as_divisor(v, L.dim)
-    if not sigma_contains(L, v, node_budget):
-        return False
-    return not any(
-        sigma_contains(L, tuple(x - (j == i) for j, x in enumerate(v)),
-                       node_budget)
-        for i in range(len(v)))
+    with node_budget():
+        return sigma_contains(L, v) and not any(
+            sigma_contains(L, tuple(x - (j == i) for j, x in enumerate(v)))
+            for i in range(len(v)))
 
 
 @dataclass(frozen=True)
@@ -104,37 +103,32 @@ class CriticalPoint:
     witnesses: tuple
 
 
-def _nearest_lattice_points(L: LatticeBasis, c, radius, node_budget):
-    """All p in L with max_i(c_i - p_i) <= radius, sorted."""
-    lo = [t - radius for t in c]
-    total_lo = sum(lo)
-    hi = [l - total_lo for l in lo]
-    # the walk yields its points in increasing lexicographic order
-    return list(
-        L.iter_coset_in_bounds(tuple([0] * L.dim), lo, hi, node_budget)
-    )
-
-
-def verify_critical(L: LatticeBasis, c, node_budget=2_000_000):
+def verify_critical(L: LatticeBasis, c):
     """Check the facet-witness criterion for criticality at c.
 
     c (rational, degree 0) is critical iff for every coordinate i some
     nearest lattice point is tight at i alone.  Returns (ok, data) where
-    data is a CriticalPoint on success and None otherwise.
+    data is a CriticalPoint on success and None otherwise.  The nearest
+    lattice points, the p in L with max_i(c_i - p_i) <= h, are those with
+    p >= c - h (a point sums to 0), walked in increasing lexicographic
+    order; both walks share one node_budget block.
     """
     c = as_point(c, L.dim)
     if sum(c) != 0:
         raise ValueError("expected a point of degree 0")
-    h, _ = h_distance(L, c, node_budget)
-    h = Fraction(h)
-    if h == 0:
-        return False, None
-    witnesses = [None] * L.dim
-    for p in _nearest_lattice_points(L, c, h, node_budget):
-        diffs = [ci - pi for ci, pi in zip(c, p)]
-        tight = [i for i, d in enumerate(diffs) if d == h]
-        if len(tight) == 1 and witnesses[tight[0]] is None:
-            witnesses[tight[0]] = p
+    with node_budget():
+        h = Fraction(h_distance(L, c)[0])
+        if h == 0:
+            return False, None
+        lo = [t - h for t in c]
+        total_lo = sum(lo)
+        witnesses = [None] * L.dim
+        for p in L.iter_coset_in_bounds((0,) * L.dim, lo,
+                                        [t - total_lo for t in lo]):
+            diffs = [ci - pi for ci, pi in zip(c, p)]
+            tight = [i for i, d in enumerate(diffs) if d == h]
+            if len(tight) == 1 and witnesses[tight[0]] is None:
+                witnesses[tight[0]] = p
     if any(w is None for w in witnesses):
         return False, None
     return True, CriticalPoint(location=c, h_value=h, witnesses=tuple(witnesses))
@@ -146,32 +140,30 @@ def covering_number(L: LatticeBasis, extremal_data) -> Fraction:
     return Fraction(extremal_data.g_max + n, n + 1)
 
 
-def critical_distance(L: LatticeBasis, critical_points, x, node_budget=2_000_000):
+def critical_distance(L: LatticeBasis, critical_points, x):
     """min over critical translates c + p of the up-distance from c + p to x.
 
     An empty critical_points raises ValueError: the minimum is undefined.
+    The walks share one node_budget block.
     """
     x = as_point(x, L.dim)
-    best = None
-    for c in critical_points:
-        base = tuple(a - b for a, b in zip(as_point(c, L.dim), x))
-        val, _ = L.coset_min_max_coord(base, node_budget)
-        if best is None or val < best:
-            best = val
-    if best is None:
+    with node_budget():
+        vals = [L.coset_min_max_coord(tuple(map(sub, as_point(c, L.dim), x)))[0]
+                for c in critical_points]
+    if not vals:
         raise ValueError("no critical points")
-    return best
+    return min(vals)
 
 
-def duality_probe(L: LatticeBasis, extremal_data, t, samples,
-                  node_budget=2_000_000):
+def duality_probe(L: LatticeBasis, extremal_data, t, samples):
     """Sample-level check of the covering/packing duality.
 
     B_t is the set of points within distance t of the lattice; A_s is the
     union of up-balls of radius s around critical translates.  For each
     sample x the probe records h(x), the critical distance a(x), and
     membership in B_t and A_{Cov - t}; the duality predicts every x is
-    covered and no x is interior to both.
+    covered and no x is interior to both.  Its walks share one
+    node_budget block.
     """
     t = Fraction(t)
     cov = covering_number(L, extremal_data)
@@ -179,23 +171,23 @@ def duality_probe(L: LatticeBasis, extremal_data, t, samples,
         raise ValueError("t must lie in [0, Cov]")
     crits = extremal_data.critical_points()
     rows = []
-    for x in samples:
-        x = tuple(Fraction(v) for v in x)
-        h, _ = h_distance(L, x, node_budget)
-        h = Fraction(h)
-        a = critical_distance(L, crits, x, node_budget)
-        in_b = h <= t
-        in_a = a <= cov - t
-        rows.append({
-            "x": x,
-            "h": h,
-            "a": a,
-            "in_B_t": in_b,
-            "in_A_cov_minus_t": in_a,
-            "covered": in_b or in_a,
-            "interior_overlap": h < t and a < cov - t,
-            "exact_split": h + a == cov,
-        })
+    with node_budget():
+        for x in samples:
+            x = tuple(Fraction(v) for v in x)
+            h = Fraction(h_distance(L, x)[0])
+            a = critical_distance(L, crits, x)
+            in_b = h <= t
+            in_a = a <= cov - t
+            rows.append({
+                "x": x,
+                "h": h,
+                "a": a,
+                "in_B_t": in_b,
+                "in_A_cov_minus_t": in_a,
+                "covered": in_b or in_a,
+                "interior_overlap": h < t and a < cov - t,
+                "exact_split": h + a == cov,
+            })
     return {
         "t": t,
         "cov": cov,
@@ -255,17 +247,16 @@ def _svg_xy(pq, scale):
     return "%.4f" % x, "%.4f" % y
 
 
-def _lattice_points_in_window(L, window, node_budget):
+def _lattice_points_in_window(L, window):
     bound = int(2 * window) + 1
     lo = [-bound] * 3
     hi = [bound] * 3
-    pts = list(L.iter_coset_in_bounds((0, 0, 0), lo, hi, node_budget))
+    pts = list(L.iter_coset_in_bounds((0, 0, 0), lo, hi))
     return sorted(p for p in pts if _inside_window(_planar(p), window))
 
 
 def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
-                  "voronoi"), extremal_data=None, t=None, scale=40,
-                  node_budget=2_000_000) -> str:
+                  "voronoi"), extremal_data=None, t=None, scale=40) -> str:
     """Deterministic SVG picture of a rank-2 lattice.
 
     Layers: "lattice" (dots), "critical" (all critical translates in the
@@ -276,7 +267,8 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
     chart units; if the cell of the origin does not fit, the SVG carries a
     warning annotation instead of silently clipping.  A window that is not
     positive, or a scale that is not finite and positive, raises
-    ValueError.
+    ValueError.  The scan, the window's walk and the cell walk share one
+    node_budget block.
     """
     if L.n != 2:
         raise ValueError("SVG rendering is for rank-2 lattices only")
@@ -289,20 +281,23 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
     unknown = layers - {"lattice", "critical", "voronoi", "arrangement"}
     if unknown:
         raise ValueError("unknown layers: %s" % ", ".join(sorted(unknown)))
-    if extremal_data is None and layers & {"critical", "voronoi",
-                                           "arrangement"}:
-        from .extremal import extremal_set_general
-        extremal_data = extremal_set_general(L, node_budget=node_budget)
-    if "arrangement" in layers:
-        if t is None:
-            raise ValueError("the arrangement layer needs t")
-        t = Fraction(t)
-        cov = covering_number(L, extremal_data)
-        if not (0 <= t <= cov):
-            raise ValueError("t must lie in [0, Cov]")
-    # the lattice points in the window, walked once for every layer
-    points = (_lattice_points_in_window(L, window, node_budget)
-              if layers & {"lattice", "critical", "arrangement"} else [])
+    from .extremal import extremal_set_general, voronoi_cell_vertices
+    with node_budget():
+        if extremal_data is None and layers & {"critical", "voronoi",
+                                               "arrangement"}:
+            extremal_data = extremal_set_general(L)
+        if "arrangement" in layers:
+            if t is None:
+                raise ValueError("the arrangement layer needs t")
+            t = Fraction(t)
+            cov = covering_number(L, extremal_data)
+            if not (0 <= t <= cov):
+                raise ValueError("t must lie in [0, Cov]")
+        # the lattice points in the window, walked once for every layer
+        points = (_lattice_points_in_window(L, window)
+                  if layers & {"lattice", "critical", "arrangement"} else [])
+        cell = (voronoi_cell_vertices(L, extremal_data)
+                if "voronoi" in layers else None)
 
     size = float(window) * scale
     out = []
@@ -347,19 +342,14 @@ def svg_render_2d(L: LatticeBasis, window=4, layers=("lattice", "critical",
             out.append('<polygon points="%s" fill="none" stroke="%s" '
                        'stroke-width="1"/>' % (pts, colour))
 
-    if "voronoi" in layers:
-        from .extremal import voronoi_cell_vertices
-        cell = voronoi_cell_vertices(L, extremal_data, node_budget=node_budget)
-        if cell:
-            planar = [(_planar(v), v) for v in sorted(cell)]
-            if any(not _inside_window(pq, window) for pq, _ in planar):
-                warnings.append("window too small for the cell of the origin")
-            ordered = _angle_order(planar)
-            pts = " ".join(
-                "%s,%s" % _svg_xy(pq, scale) for pq, _ in ordered
-            )
-            out.append('<polygon points="%s" fill="#edf8e9" '
-                       'stroke="#31a354" stroke-width="2"/>' % pts)
+    if cell:
+        planar = [(_planar(v), v) for v in sorted(cell)]
+        if any(not _inside_window(pq, window) for pq, _ in planar):
+            warnings.append("window too small for the cell of the origin")
+        ordered = _angle_order(planar)
+        pts = " ".join("%s,%s" % _svg_xy(pq, scale) for pq, _ in ordered)
+        out.append('<polygon points="%s" fill="#edf8e9" '
+                   'stroke="#31a354" stroke-width="2"/>' % pts)
 
     if "lattice" in layers:
         for p in points:

@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (BudgetExceeded, LatticeBasis, _hnf_rows, as_fraction,
-                   solve_rational)
+from .core import LatticeBasis, _charge, _hnf_rows, as_fraction, solve_rational
 
 __all__ = [
     "RationalSimplex",
@@ -151,21 +150,17 @@ def reduce_simplex_to_membership(S: RationalSimplex):
     return L, D
 
 
-def simplex_has_integer_point(S: RationalSimplex, box_budget=2_000_000):
-    """Brute-force oracle: scan the bounding box for a point of Z^n in S."""
+def simplex_has_integer_point(S: RationalSimplex):
+    """Brute-force oracle: scan the bounding box for a point of Z^n in S.
+
+    The box's size is charged to the active node_budget block before the
+    scan.
+    """
     n = S.dim
-    lo = []
-    hi = []
-    size = 1
-    for j in range(n):
-        coords = [v[j] for v in S.vertices]
-        a = math.ceil(min(coords))
-        b = math.floor(max(coords))
-        lo.append(a)
-        hi.append(b)
-        size *= max(b - a + 1, 0)
-        if size > box_budget:
-            raise BudgetExceeded("bounding box too large for the scan")
+    lo = [math.ceil(min(coords)) for coords in zip(*S.vertices)]
+    hi = [math.floor(max(coords)) for coords in zip(*S.vertices)]
+    size = math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    _charge("integer point scan: %d box points" % size, size)
     if size == 0:
         return False
 

@@ -31,11 +31,15 @@ down to r, the rank.  Level r holds C(r + n, n) divisors, but its scan
 stops once their witnesses cover the |Pic| classes of degree deg(D) - r:
 one test on an index-1 lattice, and 325 of 1,820 for K5 with
 D = (4, 4, 4, 3, 3).  No prefix has a bound short of its whole level, so
-the work can still grow exponentially with the rank, under a budget on
+the work can still grow exponentially with the rank, under a cap on
 deg(D).
 rank_extremal's work grows with the number of extremal classes, which is
 large on dense graphs; it stops at the first class that shows the rank
 is -1.
+
+Each rank, and each verifier with all its ranks, runs in one node_budget
+block (see core.node_budget): its coset walks draw on one work budget,
+the default one unless the caller opened a block.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import Optional
 
-from .core import BudgetExceeded, LatticeBasis, as_divisor, deg_plus, degree
+from .core import (BudgetExceeded, LatticeBasis, _charge, as_divisor, deg_plus,
+                   degree, node_budget)
 from .extremal import ExtremalSet, reflection_pairing
 
 __all__ = [
@@ -83,7 +88,7 @@ class RankResult:
         return out
 
 
-def linear_system_nonempty(L: LatticeBasis, D, node_budget=2_000_000):
+def linear_system_nonempty(L: LatticeBasis, D):
     """Whether some effective divisor is equivalent to D modulo L.
 
     Returns (flag, witness); the witness is an effective representative
@@ -111,7 +116,7 @@ def linear_system_nonempty(L: LatticeBasis, D, node_budget=2_000_000):
     if key in cache:
         found = cache[key]
     else:
-        found = cache[key] = L.find_effective_in_coset(key, node_budget)
+        found = cache[key] = L.find_effective_in_coset(key)
     return found is not None, found
 
 
@@ -128,7 +133,7 @@ def _compositions(total, parts):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
+def rank_bruteforce(L: LatticeBasis, D, budget=24):
     """Rank straight from the definition.
 
     Call a degree s full when every effective E of degree s leaves
@@ -148,8 +153,9 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
     L.picard_cardinality(), every class of degree deg(D) - s holds an
     effective divisor and every E left in the level passes.  The exit
     changes neither the rank nor the witness, which comes from the level
-    above.  Budget guards the combinatorial blowup in deg(D); exceeding
-    it raises BudgetExceeded rather than returning a wrong value.
+    above.  budget caps deg(D), which drives the combinatorial blowup;
+    a larger degree raises BudgetExceeded rather than returning a wrong
+    value.  The coset walks share one node_budget block.
     """
     D = as_divisor(D, L.dim)
     d = degree(D)
@@ -160,26 +166,26 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24, node_budget=2_000_000):
     rD = L.reduce(D)
     classes = L.picard_cardinality()
     witness = (0,) * (L.dim - 1) + (max(d + 1, 0),)
-    for s in range(d, -1, -1):
-        covered = set()
-        for E in _compositions(s, L.dim):
-            ok, found = linear_system_nonempty(L, tuple(map(sub, rD, E)),
-                                               node_budget)
-            if not ok:
-                witness = E
-                break
-            covered.add(found)
-            if len(covered) == classes:
-                break
-        if ok:  # no gap: the level was covered or scanned to its end
-            return RankResult(rank=s, witness=witness, method="bruteforce")
+    with node_budget():
+        for s in range(d, -1, -1):
+            covered = set()
+            for E in _compositions(s, L.dim):
+                ok, found = linear_system_nonempty(L, tuple(map(sub, rD, E)))
+                if not ok:
+                    witness = E
+                    break
+                covered.add(found)
+                if len(covered) == classes:
+                    break
+            if ok:  # no gap: the level was covered or scanned to its end
+                return RankResult(rank=s, witness=witness,
+                                  method="bruteforce")
     # no level is full: rank -1, and the witness is the zero divisor
     # (level 0 stopped at it, or deg(D) < 0 left it as set above)
     return RankResult(rank=-1, witness=witness, method="bruteforce")
 
 
-def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
-                  node_budget=2_000_000):
+def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet):
     """Rank via the extremal-point formula, by exact coset optimisation.
 
     For each extremal class with representative v the translate minimising
@@ -196,7 +202,7 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
     The loop stops at the first class with best == 0: deg_plus is never
     negative, so the rank is then -1, and the positive part of any vector
     with deg_plus 0 is the zero vector, so no later class changes the
-    rank or the witness.
+    rank or the witness.  The searches share one node_budget block.
     """
     D = as_divisor(D, L.dim)
     if not extremal.classes:
@@ -205,18 +211,19 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet,
         return RankResult(rank=-1, witness=(0,) * L.dim, method="extremal")
     best = None
     arg = None
-    for cls in extremal.classes:
-        base = tuple(a + b for a, b in zip(cls.representative, D))
-        cap = None if best is None else 2 * best - degree(base)
-        found = L.coset_min_l1(base, node_budget, cap)
-        if found is None:
-            continue
-        x = found[1]
-        val = deg_plus(x)
-        if best is None or val < best or (val == best and x < arg):
-            best, arg = val, x
-            if best == 0:
-                break
+    with node_budget():
+        for cls in extremal.classes:
+            base = tuple(a + b for a, b in zip(cls.representative, D))
+            cap = None if best is None else 2 * best - degree(base)
+            found = L.coset_min_l1(base, cap)
+            if found is None:
+                continue
+            x = found[1]
+            val = deg_plus(x)
+            if best is None or val < best or (val == best and x < arg):
+                best, arg = val, x
+                if best == 0:
+                    break
     witness = tuple(max(c, 0) for c in arg)
     return RankResult(rank=best - 1, witness=witness, method="extremal")
 
@@ -244,14 +251,14 @@ def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
     return samples
 
 
-def _charge_samples(L, extremal, D_samples, node_budget):
-    """D_samples as a list (None stays None) once their ranks fit the budget.
+def _charge_samples(L, extremal, D_samples):
+    """D_samples as a list (None stays None) once their ranks are charged.
 
     Each sample takes two ranks, and an extremal rank makes one coset
     search per extremal class, so 2 * samples * classes searches are
-    charged against node_budget.  The default samples, every class of
-    degree 0 .. 2g - 2 plus _RANDOM_SAMPLES random divisors, are counted,
-    not built.
+    charged to the active node_budget block before any is made.  The
+    default samples, every class of degree 0 .. 2g - 2 plus
+    _RANDOM_SAMPLES random divisors, are counted, not built.
     """
     if D_samples is None:
         count = (L.picard_cardinality() * max(2 * extremal.g_max - 1, 1)
@@ -260,15 +267,12 @@ def _charge_samples(L, extremal, D_samples, node_budget):
         D_samples = list(D_samples)
         count = len(D_samples)
     searches = 2 * count * extremal.class_count
-    if searches > node_budget:
-        raise BudgetExceeded("sample check: %d samples need %d coset "
-                             "searches, over the node budget %d"
-                             % (count, searches, node_budget))
+    _charge("sample check: %d coset searches for %d samples"
+            % (searches, count), searches)
     return D_samples
 
 
-def _check_samples(L, extremal, K, D_samples, seed, method, budget,
-                   node_budget, violation):
+def _check_samples(L, extremal, K, D_samples, seed, method, budget, violation):
     """Run violation(D, rank(D), rank(K - D)) over the sample divisors.
 
     D_samples defaults to default_divisor_samples.  method is "extremal",
@@ -290,9 +294,9 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget,
         for E in (D, tuple(k - x for k, x in zip(K, D))):
             found = []  # bruteforce first under "both"
             if method != "extremal":
-                found.append(rank_bruteforce(L, E, budget, node_budget).rank)
+                found.append(rank_bruteforce(L, E, budget).rank)
             if method != "bruteforce":
-                found.append(rank_extremal(L, E, extremal, node_budget).rank)
+                found.append(rank_extremal(L, E, extremal).rank)
             if found[0] != found[-1]:
                 violations.append({
                     "D": list(D),
@@ -309,22 +313,18 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget,
 
 
 def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
-                        D_samples=None, seed=0, method="extremal",
-                        budget=24, node_budget=2_000_000):
+                        D_samples=None, seed=0, method="extremal", budget=24):
     """Check rank(D) - rank(K - D) = degree(D) - g + 1 over a sample set.
 
     Requires a uniform, reflection invariant lattice (the regime where the
     equality is exact).  Returns a JSON-ready report listing violations;
-    an empty list means every sample satisfied the equality.
+    an empty list means every sample satisfied the equality.  The sample
+    charge, the reflection search and every rank share one node_budget
+    block.
     """
     if not extremal.uniform:
         raise ValueError("Riemann-Roch equality requires a uniform lattice")
-    D_samples = _charge_samples(L, extremal, D_samples, node_budget)
-    _, pairing = reflection_pairing(extremal, L)
-    if pairing is None:
-        raise ValueError("Riemann-Roch equality requires reflection invariance")
     g = extremal.g_min
-    K = as_divisor(K, L.dim)
 
     def violation(D, rD, rKD):
         if rD - rKD != degree(D) - g + 1:
@@ -336,9 +336,14 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
                 "rhs": degree(D) - g + 1,
             }
 
-    checked, violations = _check_samples(L, extremal, K, D_samples, seed,
-                                         method, budget, node_budget,
-                                         violation)
+    with node_budget():
+        D_samples = _charge_samples(L, extremal, D_samples)
+        if reflection_pairing(extremal, L)[1] is None:
+            raise ValueError(
+                "Riemann-Roch equality requires reflection invariance")
+        K = as_divisor(K, L.dim)
+        checked, violations = _check_samples(L, extremal, K, D_samples, seed,
+                                             method, budget, violation)
     return {
         "checked": checked,
         "genus": g,
@@ -362,8 +367,7 @@ def _pairing_is_exact(extremal: ExtremalSet, pairing, K):
 
 
 def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
-                   D_samples=None, seed=0, method="extremal",
-                   budget=24, node_budget=2_000_000):
+                   D_samples=None, seed=0, method="extremal", budget=24):
     """Check the two-sided rank inequality over a sample set.
 
     For reflection invariant lattices the quantity
@@ -372,17 +376,12 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
     exact (each pair of classes holds vectors summing to -K on the nose,
     that is rep_i + rep_j + K lies in the lattice) the sharper bound
     rank(K - D) - rank(D) >= g_min - degree(D) - 1 is asserted as well.
-    Returns a JSON-ready report listing violations.
+    Returns a JSON-ready report listing violations.  The sample charge,
+    the reflection search and every rank share one node_budget block.
     """
-    D_samples = _charge_samples(L, extremal, D_samples, node_budget)
-    _, pairing = reflection_pairing(extremal, L)
-    if pairing is None:
-        raise ValueError("weak Riemann-Roch requires reflection invariance")
     g_min, g_max = extremal.g_min, extremal.g_max
-    K = as_divisor(K, L.dim)
     lower = 3 * g_min - 2 * g_max - 1
     upper = g_max - 1
-    exact = _pairing_is_exact(extremal, pairing, K)
 
     def violation(D, rD, rKD):
         mid = rKD - rD + degree(D)
@@ -399,9 +398,15 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
                 "sharp_lower_applies": exact,
             }
 
-    checked, violations = _check_samples(L, extremal, K, D_samples, seed,
-                                         method, budget, node_budget,
-                                         violation)
+    with node_budget():
+        D_samples = _charge_samples(L, extremal, D_samples)
+        _, pairing = reflection_pairing(extremal, L)
+        if pairing is None:
+            raise ValueError("weak Riemann-Roch requires reflection invariance")
+        K = as_divisor(K, L.dim)
+        exact = _pairing_is_exact(extremal, pairing, K)
+        checked, violations = _check_samples(L, extremal, K, D_samples, seed,
+                                             method, budget, violation)
     return {
         "checked": checked,
         "g_min": g_min,

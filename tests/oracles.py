@@ -232,7 +232,7 @@ def naive_rank(rows, D, coeff_bound=10, cap=20):
     raise RuntimeError("rank exceeded the oracle cap")
 
 
-def rank_bruteforce_ascending(L, D, budget=24, node_budget=2_000_000):
+def rank_bruteforce_ascending(L, D, budget=24):
     """rank_bruteforce as it was written first, on the library's
     linear_system_nonempty: enumerate effective E by ascending degree
     s = 0, 1, ... and return s - 1 at the first E with |D - E| empty;
@@ -253,8 +253,7 @@ def rank_bruteforce_ascending(L, D, budget=24, node_budget=2_000_000):
     rD = L.reduce(D)
     for s in range(d + 1):
         for E in _compositions(s, L.dim):
-            ok, _ = linear_system_nonempty(L, tuple(map(sub, rD, E)),
-                                           node_budget)
+            ok, _ = linear_system_nonempty(L, tuple(map(sub, rD, E)))
             if not ok:
                 return RankResult(rank=s - 1, witness=E, method="bruteforce")
     # every E of degree deg(D) + 1 leaves a negative degree, so the first
@@ -600,7 +599,7 @@ def is_minimal_in_sigma(rows, v):
         for i in range(len(v)))
 
 
-def is_extremal_linf(L, v, node_budget=2_000_000):
+def is_extremal_linf(L, v):
     """The l-infinity test that served as the library's extremality test,
     on the library's sigma_contains: v in Sigma and no neighbour v + off,
     off in {-1, 0, 1}^(n+1) of negative sum, in Sigma.  It accepts only minimal elements of Sigma,
@@ -608,13 +607,12 @@ def is_extremal_linf(L, v, node_budget=2_000_000):
     Sigma while no v - e_i does)."""
     from rrlattice.geometry import sigma_contains
 
-    if not sigma_contains(L, v, node_budget):
+    if not sigma_contains(L, v):
         return False
     for off in product((-1, 0, 1), repeat=len(v)):
         if sum(off) >= 0:
             continue
-        if sigma_contains(L, tuple(a + b for a, b in zip(v, off)),
-                          node_budget):
+        if sigma_contains(L, tuple(a + b for a, b in zip(v, off))):
             return False
     return True
 
@@ -642,7 +640,7 @@ def _covering_upper_bound(L):
     return min(best, index_bound)
 
 
-def extremal_set_band_scan(L, node_budget=2_000_000):
+def extremal_set_band_scan(L):
     """The degree-band scan that served as the library's bare-lattice
     extremal enumeration, on the library's is_extremal.
 
@@ -652,9 +650,10 @@ def extremal_set_band_scan(L, node_budget=2_000_000):
     a sound covering bound Cov_ub.  Scanning one canonical representative
     per class and degree decides everything, since minimality is
     invariant under lattice translation.  The index times band-width
-    class tests are charged against node_budget before the scan.
+    class tests are charged to the active node_budget block before the
+    scan.
     """
-    from rrlattice.core import BudgetExceeded
+    from rrlattice.core import BudgetExceeded, _charge
     from rrlattice.extremal import ExtremalSet, _group_into_classes
     from rrlattice.geometry import is_extremal
 
@@ -664,13 +663,11 @@ def extremal_set_band_scan(L, node_budget=2_000_000):
     g_upper = (L.n + 1) * cov_ub - L.n
     floor = 1 - int(g_upper)
     tests = L.picard_cardinality() * (L.n - floor + 1)
-    if tests > node_budget:
-        raise BudgetExceeded("extremal scan: %d class tests exceed the node "
-                             "budget %d" % (tests, node_budget))
+    _charge("extremal scan: %d class tests" % tests, tests)
     found = []
     for d in range(L.n, floor - 1, -1):
         for rep in L.class_representatives(d):
-            if is_extremal(L, rep, node_budget):
+            if is_extremal(L, rep):
                 found.append(rep)
     if not found:
         raise RuntimeError("scan found no extremal classes; bound bug?")
@@ -678,7 +675,7 @@ def extremal_set_band_scan(L, node_budget=2_000_000):
     return ExtremalSet(lattice=L, classes=classes, source="scan")
 
 
-def extremal_set_descending_scan(L, node_budget=2_000_000):
+def extremal_set_descending_scan(L):
     """The descending degree scan that served as the library's bare-lattice
     extremal enumeration, testing each kept representative with the
     library's is_extremal.
@@ -692,29 +689,25 @@ def extremal_set_descending_scan(L, node_budget=2_000_000):
     per class, keeps the representatives in Sigma, tests those for
     minimality (invariant under lattice translation), and stops at the
     first level with none in Sigma, which is level -g_max.  Each level
-    charges its index many class tests against node_budget before it is
-    walked.
+    charges its index many class tests, before it is walked, to one
+    node_budget block that the walks share.
     """
     import itertools
 
-    from rrlattice.core import BudgetExceeded
+    from rrlattice.core import _charge, node_budget
     from rrlattice.extremal import ExtremalSet, _group_into_classes
     from rrlattice.geometry import is_extremal, sigma_contains
 
     index = L.picard_cardinality()
-    tests = 0
     found = []
-    for d in itertools.count(1, -1):
-        tests += index
-        if tests > node_budget:
-            raise BudgetExceeded("extremal scan: %d class tests exceed the "
-                                 "node budget %d" % (tests, node_budget))
-        level = [rep for rep in L.class_representatives(d)
-                 if sigma_contains(L, rep, node_budget)]
-        if not level:
-            break
-        found.extend(rep for rep in level
-                     if is_extremal(L, rep, node_budget))
+    with node_budget():
+        for d in itertools.count(1, -1):
+            _charge("extremal scan: %d class tests" % index, index)
+            level = [rep for rep in L.class_representatives(d)
+                     if sigma_contains(L, rep)]
+            if not level:
+                break
+            found.extend(rep for rep in level if is_extremal(L, rep))
     if not found:
         raise RuntimeError("scan found no extremal classes; lattice input "
                            "invalid?")

@@ -6,7 +6,9 @@ import pytest
 
 import rrlattice.cli as cli
 import rrlattice.extremal as extremal
+import rrlattice.rank as rank
 from rrlattice.cli import main
+from rrlattice.core import node_budget
 
 
 @pytest.fixture()
@@ -269,14 +271,20 @@ def test_verify_rr_searches_reflections_once(files, capsys, monkeypatch):
 
 def test_verify_rr_lattice_charges_samples_before_searching(files, capsys,
                                                            monkeypatch):
-    # the a2 example: 1,450 samples, so 2,900 coset searches over one class
+    # the a2 example: 1,450 samples, so 2,900 coset searches over one class,
+    # charged after the scan and the reflection search and before any rank
+    with node_budget(10**9) as meter:
+        L = cli._load_lattice(files["lat"])
+        extremal.canonical_point(extremal.extremal_set_general(L), L)
     calls = []
-    monkeypatch.setattr(extremal, "_reflections",
-                        lambda points, canon: calls.append(points))
-    code = main(["verify-rr", "--lattice", files["lat"], "--budget", "2000"])
+    monkeypatch.setattr(rank, "rank_extremal",
+                        lambda *args: calls.append(args))
+    code = main(["verify-rr", "--lattice", files["lat"],
+                 "--budget", str(meter.spent + 2900 - 1)])
     assert code == 2
     assert capsys.readouterr().err.startswith(
-        "resource budget exceeded: sample check")
+        "resource budget exceeded: sample check: 2900 coset searches for "
+        "1450 samples")
     assert not calls
 
 
@@ -389,7 +397,8 @@ def test_verify_rr_refuses_an_over_budget_sample_plan(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 2
     assert capsys.readouterr().err.startswith(
-        "resource budget exceeded: sample check: 487453 samples")
+        "resource budget exceeded: sample check: 701932320 coset searches "
+        "for 487453 samples")
 
 
 def test_extremals_on_a_rank_four_lattice(tmp_path, capsys):
@@ -447,6 +456,21 @@ def test_graph_orders_are_refused_before_the_lattice_is_built(tmp_path,
         "resource budget exceeded: order enumeration: 1000! orders")
 
 
+def test_picard_charges_the_hnf_to_the_budget(tmp_path, capsys):
+    # the same path: its HNF makes about 500,000 row operations of 1,000
+    # entries each, and those of the first 100 columns spend the budget
+    path = tmp_path / "path1000.json"
+    path.write_text(json.dumps(
+        {"vertices": 1000, "edges": [[i, i + 1, 1] for i in range(999)]}))
+    start = time.perf_counter()
+    code = main(["picard", "--graph", str(path), "--budget", "100000"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "resource budget exceeded: HNF row operations exceed the work "
+        "budget 100000 (100000 units spent before)\n")
+
+
 def test_extremals_list_representatives_only(files, capsys):
     code, out = run(capsys, "extremals", "--graph", files["k3"])
     assert code == 0
@@ -459,28 +483,29 @@ def test_extremals_list_representatives_only(files, capsys):
 
 
 def test_classify_charges_the_cell_walk_to_the_budget(tmp_path, capsys):
-    # the A_2 root lattice: its scan charges 2 class tests, which fit the
-    # budget; the cell walk's 3! vertex steps do not, and it is refused
-    # before it starts
+    # the A_2 root lattice: its HNF (one row operation on 3 columns), its
+    # scan (2 class tests and 2 walk nodes) and its reflection search (1
+    # class point and 2 reductions) fit the budget; the cell walk's 3!
+    # vertex steps do not, and it is refused before it starts
     path = tmp_path / "a2root.txt"
     path.write_text("3\n1 -1 0\n0 1 -1\n")
-    code = main(["classify", "--lattice", str(path), "--budget", "5"])
+    code = main(["classify", "--lattice", str(path), "--budget", "12"])
     assert code == 2
     assert capsys.readouterr().err == (
         "resource budget exceeded: Voronoi cell walk: 3! vertex steps "
-        "exceed the node budget 5\n")
+        "exceed the work budget 12 (10 units spent before)\n")
 
 
 def test_classify_walks_k8_within_a_small_budget(tmp_path, capsys):
-    # K8: 8! = 40,320 orders and as many cell vertex steps, both within
-    # --budget 100000
+    # K8: 8! = 40,320 orders, 27,887 reflection reductions and 40,320 cell
+    # vertex steps, 108,863 units with the HNF, within --budget 110000
     path = tmp_path / "k8.json"
     path.write_text(json.dumps(
         {"vertices": 8,
          "edges": [[i, j, 1] for i in range(8) for j in range(i + 1, 8)]}))
     start = time.perf_counter()
     code, out = run(capsys, "classify", "--graph", str(path),
-                    "--budget", "100000")
+                    "--budget", "110000")
     assert time.perf_counter() - start < 5
     assert code == 0
     assert "strongly reflection invariant: True\n" in out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rrlattice
 from rrlattice.core import (BudgetExceeded, LatticeBasis, deg_plus, degree,
-                            project_H0, solve_rational)
+                            node_budget, project_H0, solve_rational)
 from rrlattice.graphs import Multigraph, laplacian_lattice
 
 import oracles
@@ -179,24 +179,26 @@ def test_coset_minimisers_match_scans():
 
 def test_budget_exceeded():
     L = LatticeBasis([(7, -7, 0), (-3, 11, -8)])
-    with pytest.raises(BudgetExceeded):
-        list(L.iter_coset_in_bounds((0, 0, 0), (-60,) * 3, (60,) * 3,
-                                    node_budget=5))
+    with pytest.raises(BudgetExceeded), node_budget(5):
+        list(L.iter_coset_in_bounds((0, 0, 0), (-60,) * 3, (60,) * 3))
 
 
 def test_budget_exceeded_names_the_walk_its_nodes_and_the_budget():
-    # the walk stops at the first node over the budget
+    # the walk stops at the first node over the budget; the enumeration
+    # charged the 4 nodes before its leaves as it yielded them
     L = LatticeBasis([(7, -7, 0), (-3, 11, -8)])
-    with pytest.raises(BudgetExceeded, match="^coset enumeration: 6 nodes "
-                                             "exceed the node budget 5$"):
-        list(L.iter_coset_in_bounds((0, 0, 0), (-60,) * 3, (60,) * 3,
-                                    node_budget=5))
-    with pytest.raises(BudgetExceeded, match="^l1 search: 2 nodes exceed "
-                                             "the node budget 1$"):
-        L.coset_min_l1((5, 1, -6), node_budget=1)
-    with pytest.raises(BudgetExceeded, match="^max search: 2 nodes exceed "
-                                             "the node budget 1$"):
-        L.coset_min_max_coord((5, 1, -6), node_budget=1)
+    with pytest.raises(BudgetExceeded, match=r"^coset enumeration: 2 nodes "
+                       r"exceed the work budget 5 \(4 units spent before\)$"):
+        with node_budget(5):
+            list(L.iter_coset_in_bounds((0, 0, 0), (-60,) * 3, (60,) * 3))
+    with pytest.raises(BudgetExceeded, match=r"^l1 search: 2 nodes exceed "
+                       r"the work budget 1 \(0 units spent before\)$"):
+        with node_budget(1):
+            L.coset_min_l1((5, 1, -6))
+    with pytest.raises(BudgetExceeded, match=r"^max search: 2 nodes exceed "
+                       r"the work budget 1 \(0 units spent before\)$"):
+        with node_budget(1):
+            L.coset_min_max_coord((5, 1, -6))
 
 
 def test_solve_rational_exact():
@@ -291,11 +293,11 @@ def test_coset_min_l1_cap(case, slack):
 def test_kernel_budget(case, rational_case):
     # a leaf is n levels deep, so a budget of n - 1 nodes never suffices
     L, base = case
-    with pytest.raises(BudgetExceeded):
-        L.coset_min_l1(base, node_budget=L.n - 1)
+    with pytest.raises(BudgetExceeded), node_budget(L.n - 1):
+        L.coset_min_l1(base)
     L, base = rational_case
-    with pytest.raises(BudgetExceeded):
-        L.coset_min_max_coord(base, node_budget=L.n - 1)
+    with pytest.raises(BudgetExceeded), node_budget(L.n - 1):
+        L.coset_min_max_coord(base)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,9 +356,10 @@ def test_indeg_minus_one_proof_node_count(k, nodes):
     # free coordinate in [0, deg D], so no rejected leaf is counted
     L = laplacian_lattice(Multigraph.complete(k))
     D = tuple(range(-1, k - 1))
-    assert L.find_effective_in_coset(D, node_budget=nodes) is None
-    with pytest.raises(BudgetExceeded):
-        L.find_effective_in_coset(D, node_budget=nodes - 1)
+    with node_budget(nodes):
+        assert L.find_effective_in_coset(D) is None
+    with pytest.raises(BudgetExceeded), node_budget(nodes - 1):
+        L.find_effective_in_coset(D)
 
 
 def test_pointwise_scan_matches_coefficient_scan():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from rrlattice import extremal, geometry
 from rrlattice.a2 import extend_family, random_a2_lattice
-from rrlattice.core import BudgetExceeded, LatticeBasis, degree, project_H0
+from rrlattice.core import (BudgetExceeded, LatticeBasis, degree, node_budget,
+                            project_H0)
 from rrlattice.extremal import (ExtremalClass, ExtremalSet, canonical_point,
                                 classify, extremal_set_general,
                                 extremal_set_graphical, nu_of_permutation,
@@ -224,9 +225,14 @@ def test_scan_walks_levels_one_to_minus_g_max(skew56_lattice, monkeypatch):
     monkeypatch.setattr(LatticeBasis, "class_representatives", spy)
     assert extremal_set_general(L) == expected
     assert requested == list(range(1, -14, -1))
-    assert extremal_set_general(L, node_budget=1000) == expected
-    with pytest.raises(BudgetExceeded, match="504 class tests"):
-        extremal_set_general(L, node_budget=500)
+    # 15 levels of 56 class tests and the sigma_contains walks: 2,466 units
+    with node_budget(2466):
+        assert extremal_set_general(L) == expected
+    with pytest.raises(BudgetExceeded,
+                       match=r"^extremal scan: 56 class tests exceed the "
+                             r"work budget 2465 \(2410 units spent"), \
+            node_budget(2465):
+        extremal_set_general(L)
 
 
 def test_scan_matches_descending_scan_oracle(skew56_lattice):
@@ -598,18 +604,21 @@ def test_cell_walk_is_charged_before_any_order(monkeypatch):
         return nu(Q, order)
 
     monkeypatch.setattr(extremal, "_nu", counted)
-    walks = (lambda b: voronoi_cell_vertices(L, ex, node_budget=b),
-             lambda b: classify(ex, L, node_budget=b))
-    for walk in walks:
+    # classify above left the reflection search cached on ex, so the cell
+    # walk is all that either call charges
+    for walk in (lambda: voronoi_cell_vertices(L, ex), lambda: classify(ex, L)):
         with pytest.raises(BudgetExceeded,
                            match=r"Voronoi cell walk: 5! vertex steps exceed "
-                                 r"the node budget 119$"):
-            walk(120 - 1)
+                                 r"the work budget 119 \(0 units spent "
+                                 r"before\)$"), node_budget(120 - 1):
+            walk()
         assert orders == []
-    assert voronoi_cell_vertices(L, ex, node_budget=120) == want_cell
+    with node_budget(120):
+        assert voronoi_cell_vertices(L, ex) == want_cell
     assert len(orders) == 24
     assert all(order[0] == 0 for order in orders)
-    assert classify(ex, L, node_budget=120) == want_flags
+    with node_budget(120):
+        assert classify(ex, L) == want_flags
     assert len(orders) == 48
 
 

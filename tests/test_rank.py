@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrlattice import rank as rank_module
-from rrlattice.core import BudgetExceeded, LatticeBasis, degree
+from rrlattice.core import BudgetExceeded, LatticeBasis, degree, node_budget
 from rrlattice.extremal import (canonical_point, extremal_set_general,
-                                extremal_set_graphical)
+                                extremal_set_graphical, reflection_pairing)
 from rrlattice.graphs import (Multigraph, RegularDigraph, canonical_divisor,
                               laplacian_lattice)
 from rrlattice.rank import (_charge_samples, _compositions,
@@ -178,17 +178,20 @@ def test_sample_check_is_charged_before_any_rank(m322_lattice, m322_extremal,
     monkeypatch.setattr(rank_module, "default_divisor_samples", no_samples)
     classes = m322_extremal.class_count
     searches = 2 * count * classes
+    # the reflection search, once cached, charges nothing more
+    reflection_pairing(m322_extremal, m322_lattice)
     for verify in (verify_riemann_roch, verify_weak_rr):
-        with pytest.raises(BudgetExceeded, match="194 samples need %d coset"
-                           % searches):
+        with pytest.raises(BudgetExceeded, match="%d coset searches for 194 "
+                           "samples" % searches), node_budget(searches - 1):
+            verify(m322_lattice, m322_extremal, (3, 3, 2))
+        with pytest.raises(BudgetExceeded, match="3 samples"), \
+                node_budget(6 * classes - 1):
             verify(m322_lattice, m322_extremal, (3, 3, 2),
-                   node_budget=searches - 1)
-        with pytest.raises(BudgetExceeded, match="3 samples"):
-            verify(m322_lattice, m322_extremal, (3, 3, 2),
-                   D_samples=[(1, 0, 0)] * 3, node_budget=6 * classes - 1)
+                   D_samples=[(1, 0, 0)] * 3)
         assert calls == []
-        assert verify(m322_lattice, m322_extremal, (3, 3, 2),
-                      node_budget=searches)["checked"] == 0
+        with node_budget(searches):
+            assert verify(m322_lattice, m322_extremal,
+                          (3, 3, 2))["checked"] == 0
         assert calls == ["samples"]
         calls.clear()
 
@@ -226,10 +229,12 @@ def test_charged_sample_count_is_the_default_plan(corpus, skew56_lattice):
     for L, ex in cases:
         count = len(default_divisor_samples(L, ex))
         searches = 2 * count * ex.class_count
-        assert _charge_samples(L, ex, None, searches) is None
-        with pytest.raises(BudgetExceeded, match="^sample check: %d samples"
-                           % count):
-            _charge_samples(L, ex, None, searches - 1)
+        with node_budget(searches):
+            assert _charge_samples(L, ex, None) is None
+        with pytest.raises(BudgetExceeded, match="^sample check: %d coset "
+                           "searches for %d samples" % (searches, count)), \
+                node_budget(searches - 1):
+            _charge_samples(L, ex, None)
 
 
 @pytest.mark.parametrize("verify", [verify_riemann_roch, verify_weak_rr])
@@ -470,9 +475,9 @@ def test_rank_bruteforce_scans_one_level_in_full(monkeypatch):
     L = laplacian_lattice(Multigraph.complete(5))
     tested = []
 
-    def spy(L, D, node_budget=2_000_000):
+    def spy(L, D):
         tested.append(degree(D))
-        return linear_system_nonempty(L, D, node_budget)
+        return linear_system_nonempty(L, D)
 
     monkeypatch.setattr(rank_module, "linear_system_nonempty", spy)
     r = rank_bruteforce(L, (4, 4, 4, 3, 3), budget=40)
@@ -486,11 +491,11 @@ def _spy_on_tests(monkeypatch, limit=1000):
     it goes; a test past the limit fails at once rather than running on."""
     tested = []
 
-    def spy(L, D, node_budget=2_000_000):
+    def spy(L, D):
         tested.append(D)
         if len(tested) > limit:
             raise AssertionError("more than %d effectiveness tests" % limit)
-        return linear_system_nonempty(L, D, node_budget)
+        return linear_system_nonempty(L, D)
 
     monkeypatch.setattr(rank_module, "linear_system_nonempty", spy)
     return tested
