@@ -95,12 +95,16 @@ def winnable(cfg: Configuration):
     coset walk share one node_budget block.
     """
     with node_budget():
-        ok, E = linear_system_nonempty(laplacian_lattice(cfg.graph), cfg.chips)
+        L = laplacian_lattice(cfg.graph)
+        ok, E = linear_system_nonempty(L, cfg.chips)
         if not ok:
             return False, None
-        counts = _script_from_lattice_vector(
-            cfg.graph, tuple(c - e for c, e in zip(cfg.chips, E)))
-    return True, [v for v, c in enumerate(counts) for _ in range(c)]
+        delta = tuple(c - e for c, e in zip(cfg.chips, E))
+        counts = _script_from_lattice_vector(cfg.graph, delta)
+    script = []
+    for v, c in enumerate(counts):
+        script.extend([v] * c)
+    return True, script
 
 
 def kc_minus(cfg: Configuration) -> Configuration:

@@ -195,8 +195,10 @@ def _cmd_verify_rr(args):
 
 
 def _cmd_picard(args):
-    L = (laplacian_lattice(_load_graph(args.graph)) if args.graph
-         else _load_lattice(args.lattice))
+    if args.graph:
+        L = laplacian_lattice(_load_graph(args.graph))
+    else:
+        L = _load_lattice(args.lattice)
     payload = {"cardinality": L.picard_cardinality(),
                "invariant_factors": list(L.picard_factors())}
     lines = ["|Pic| = %d" % payload["cardinality"],

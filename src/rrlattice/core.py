@@ -33,7 +33,7 @@ class node_budget:
 
     Every unit of work the library charges (a search node, a vertex
     order, a cell-walk vertex step, a class test or reflection reduction,
-    an HNF entry update, a sample search) counts against the innermost
+    an HNF row operation) counts against the innermost
     active block, and the charge that passes its budget raises
     BudgetExceeded naming the work, the units spent and the budget.  A
     block opened inside another gets the smaller of n and what the outer
@@ -69,13 +69,15 @@ def _meter():
     return _METER.get() or node_budget(DEFAULT_NODE_BUDGET)
 
 
-def _charge(work, units, meter=None):
+def _charge(work, units, meter=None, spend=True):
     """Add units of work to meter, by default _meter(); raise
-    BudgetExceeded naming work once they take it past its budget."""
+    BudgetExceeded naming work once they take it past its budget.  With
+    spend false the units are only checked against what is left."""
     meter = meter or _meter()
     spent = meter.spent
-    meter.spent = spent + units
-    if meter.spent > meter.budget:
+    if spend:
+        meter.spent = spent + units
+    if spent + units > meter.budget:
         raise BudgetExceeded("%s exceed the work budget %d (%d units spent "
                              "before)" % (work, meter.budget, spent))
 
@@ -172,8 +174,8 @@ def _hnf_rows(rows):
     Returns (hnf, pivot_cols).  hnf has one row per pivot, pivots are
     positive, entries above a pivot are reduced into [0, pivot), so two
     matrices with the same row lattice get the same hnf.  Each batch of
-    row operations is charged by the entries it updates before it is made
-    (see node_budget).
+    row operations is charged, one unit per row, before it is made (see
+    node_budget).
     """
     meter = _meter()
     m = [list(r) for r in rows]
@@ -191,7 +193,7 @@ def _hnf_rows(rows):
             a = m[i0][col]
             # |a| is least, so every q below is nonzero: one row operation
             # per row of nz[1:]
-            _charge("HNF row operations", (len(nz) - 1) * ncols, meter)
+            _charge("HNF row operations", len(nz) - 1, meter)
             for i in nz[1:]:
                 q = m[i][col] // a
                 m[i] = [x - q * y for x, y in zip(m[i], m[i0])]
@@ -212,7 +214,7 @@ def _hnf_rows(rows):
         col = pivots[r]
         piv = m[r][col]
         qs = [m[i][col] // piv for i in range(r)]
-        _charge("HNF row operations", (r - qs.count(0)) * ncols, meter)
+        _charge("HNF row operations", r - qs.count(0), meter)
         for i, q in enumerate(qs):
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
@@ -388,8 +390,8 @@ class LatticeBasis:
         block = [row[:self.n] for row in self.hnf]
         with node_budget():
             while any(any(row[i + 1:]) for i, row in enumerate(block)):
-                # the transposed column HNF is the next row HNF's input
-                block = _hnf_rows(zip(*_hnf_rows(zip(*block))[0]))[0]
+                block = list(zip(*_hnf_rows(zip(*block))[0]))
+                block = _hnf_rows(block)[0]
         diag = [block[i][i] for i in range(self.n)]
         for i in range(self.n):
             for j in range(i + 1, self.n):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 from .core import LatticeBasis, as_divisor, as_point, degree, node_budget
 
@@ -147,12 +146,16 @@ def critical_distance(L: LatticeBasis, critical_points, x):
     The walks share one node_budget block.
     """
     x = as_point(x, L.dim)
+    best = None
     with node_budget():
-        vals = [L.coset_min_max_coord(tuple(map(sub, as_point(c, L.dim), x)))[0]
-                for c in critical_points]
-    if not vals:
+        for c in critical_points:
+            base = tuple(a - b for a, b in zip(as_point(c, L.dim), x))
+            val, _ = L.coset_min_max_coord(base)
+            if best is None or val < best:
+                best = val
+    if best is None:
         raise ValueError("no critical points")
-    return min(vals)
+    return best
 
 
 def duality_probe(L: LatticeBasis, extremal_data, t, samples):

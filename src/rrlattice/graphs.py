@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import add
 from typing import Iterable, Sequence
 
 from .core import LatticeBasis, as_ints
@@ -34,10 +33,7 @@ def _arc_matrix(vertex_count, items, word):
         arcs[i, j] = arcs.get((i, j), 0) + m
     if len(arcs) < k - 1:
         raise ValueError("graph must be connected")
-    mat = [[0] * k for _ in range(k)]
-    for (i, j), m in arcs.items():
-        mat[i][j] = m
-    return mat
+    return [[arcs.get((i, j), 0) for j in range(k)] for i in range(k)]
 
 
 def _connected(mat, k) -> bool:
@@ -77,7 +73,7 @@ class RegularDigraph:
         for i in range(k):
             if mat[i][i] != 0:
                 raise ValueError("loops are not allowed")
-            if min(mat[i]) < 0:
+            if any(x < 0 for x in mat[i]):
                 raise ValueError("negative %s multiplicity" % self._word)
         self._check_balanced(mat)
         if not _connected(mat, k):
@@ -118,10 +114,9 @@ class RegularDigraph:
         return tuple(self.vertex_degree(v) for v in range(self.vertex_count))
 
     def laplacian_rows(self):
-        rows = [[-m for m in row] for row in self.arc_mult]
-        for i, row in enumerate(rows):
-            row[i] = self.vertex_degree(i)
-        return tuple(map(tuple, rows))
+        return tuple(tuple(self.vertex_degree(i) if i == j else -m
+                           for j, m in enumerate(row))
+                     for i, row in enumerate(self.arc_mult))
 
     def to_json_dict(self):
         return {
@@ -156,7 +151,7 @@ class Multigraph(RegularDigraph):
     def from_edges(cls, vertex_count: int, edges: Iterable) -> "Multigraph":
         """Edges as (i, j) or (i, j, mult) items; multiplicities add up."""
         mat = _arc_matrix(vertex_count, edges, cls._word)
-        return cls(vertex_count, [list(map(add, row, col))
+        return cls(vertex_count, [[a + b for a, b in zip(row, col)]
                                   for row, col in zip(mat, zip(*mat))])
 
     @classmethod

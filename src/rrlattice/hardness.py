@@ -157,9 +157,16 @@ def simplex_has_integer_point(S: RationalSimplex):
     scan.
     """
     n = S.dim
-    lo = [math.ceil(min(coords)) for coords in zip(*S.vertices)]
-    hi = [math.floor(max(coords)) for coords in zip(*S.vertices)]
-    size = math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    lo = []
+    hi = []
+    size = 1
+    for j in range(n):
+        coords = [v[j] for v in S.vertices]
+        a = math.ceil(min(coords))
+        b = math.floor(max(coords))
+        lo.append(a)
+        hi.append(b)
+        size *= max(b - a + 1, 0)
     _charge("integer point scan: %d box points" % size, size)
     if size == 0:
         return False

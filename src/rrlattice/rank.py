@@ -252,13 +252,15 @@ def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
 
 
 def _charge_samples(L, extremal, D_samples):
-    """D_samples as a list (None stays None) once their ranks are charged.
+    """D_samples as a list (None stays None) once their ranks fit the budget.
 
     Each sample takes two ranks, and an extremal rank makes one coset
     search per extremal class, so 2 * samples * classes searches are
-    charged to the active node_budget block before any is made.  The
-    default samples, every class of degree 0 .. 2g - 2 plus
-    _RANDOM_SAMPLES random divisors, are counted, not built.
+    checked against what the active node_budget block has left before any
+    is made.  Nothing is spent: each search charges its nodes, at least
+    one, as it walks.  The default samples, every class of degree
+    0 .. 2g - 2 plus _RANDOM_SAMPLES random divisors, are counted, not
+    built.
     """
     if D_samples is None:
         count = (L.picard_cardinality() * max(2 * extremal.g_max - 1, 1)
@@ -268,7 +270,7 @@ def _charge_samples(L, extremal, D_samples):
         count = len(D_samples)
     searches = 2 * count * extremal.class_count
     _charge("sample check: %d coset searches for %d samples"
-            % (searches, count), searches)
+            % (searches, count), searches, spend=False)
     return D_samples
 
 
@@ -319,7 +321,7 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
     Requires a uniform, reflection invariant lattice (the regime where the
     equality is exact).  Returns a JSON-ready report listing violations;
     an empty list means every sample satisfied the equality.  The sample
-    charge, the reflection search and every rank share one node_budget
+    check, the reflection search and every rank share one node_budget
     block.
     """
     if not extremal.uniform:
@@ -376,7 +378,7 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
     exact (each pair of classes holds vectors summing to -K on the nose,
     that is rep_i + rep_j + K lies in the lattice) the sharper bound
     rank(K - D) - rank(D) >= g_min - degree(D) - 1 is asserted as well.
-    Returns a JSON-ready report listing violations.  The sample charge,
+    Returns a JSON-ready report listing violations.  The sample check,
     the reflection search and every rank share one node_budget block.
     """
     g_min, g_max = extremal.g_min, extremal.g_max

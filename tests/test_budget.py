@@ -12,7 +12,7 @@ import pytest
 
 import rrlattice
 from rrlattice import extremal
-from rrlattice.chipfire import Configuration, winnable
+from rrlattice.chipfire import Configuration, fire_script, winnable
 from rrlattice.core import BudgetExceeded, LatticeBasis, node_budget
 from rrlattice.extremal import (canonical_point, classify,
                                 extremal_set_general, extremal_set_graphical)
@@ -141,14 +141,24 @@ def test_reflection_search_is_charged_before_the_cell_walk(monkeypatch):
 
 
 def test_hnf_charges_its_row_operations():
-    # the path on 40 vertices: one row operation of 40 entries per column
-    # in the first pass, then every row above each pivot in the second
+    # the path on 40 vertices: one row operation per column in the first
+    # pass, then every row above each pivot in the second
     rows = Multigraph.path(40).laplacian_rows()[:-1]
     with node_budget(10**9) as meter:
         L = LatticeBasis(rows)
-    assert meter.spent == 40 * (38 + 38 * 39 // 2)
+    assert meter.spent == 38 + 38 * 39 // 2
     with pytest.raises(BudgetExceeded, match="^HNF row operations exceed "
                        "the work budget %d " % (meter.spent - 1)), \
             node_budget(meter.spent - 1):
         LatticeBasis(rows)
     assert L.picard_cardinality() == 1
+
+
+def test_large_lattices_build_at_the_default_budget():
+    # the path on 200 vertices: its HNF makes 19,899 row operations, and
+    # winnable makes a second HNF for the firing script
+    G = Multigraph.path(200)
+    assert laplacian_lattice(G).picard_cardinality() == 1
+    cfg = Configuration(G, (-1,) + (0,) * 198 + (1,))
+    ok, script = winnable(cfg)
+    assert ok and fire_script(cfg, script).chips == (0,) * 200

@@ -457,18 +457,18 @@ def test_graph_orders_are_refused_before_the_lattice_is_built(tmp_path,
 
 
 def test_picard_charges_the_hnf_to_the_budget(tmp_path, capsys):
-    # the same path: its HNF makes about 500,000 row operations of 1,000
-    # entries each, and those of the first 100 columns spend the budget
+    # the same path: its HNF makes about 500,000 row operations, and those
+    # of the first pass and the first pivots of the second spend the budget
     path = tmp_path / "path1000.json"
     path.write_text(json.dumps(
         {"vertices": 1000, "edges": [[i, i + 1, 1] for i in range(999)]}))
     start = time.perf_counter()
-    code = main(["picard", "--graph", str(path), "--budget", "100000"])
+    code = main(["picard", "--graph", str(path), "--budget", "10000"])
     assert time.perf_counter() - start < 2
     assert code == 2
     assert capsys.readouterr().err == (
         "resource budget exceeded: HNF row operations exceed the work "
-        "budget 100000 (100000 units spent before)\n")
+        "budget 10000 (9909 units spent before)\n")
 
 
 def test_extremals_list_representatives_only(files, capsys):
@@ -483,7 +483,7 @@ def test_extremals_list_representatives_only(files, capsys):
 
 
 def test_classify_charges_the_cell_walk_to_the_budget(tmp_path, capsys):
-    # the A_2 root lattice: its HNF (one row operation on 3 columns), its
+    # the A_2 root lattice: its HNF (one row operation), its
     # scan (2 class tests and 2 walk nodes) and its reflection search (1
     # class point and 2 reductions) fit the budget; the cell walk's 3!
     # vertex steps do not, and it is refused before it starts
@@ -493,7 +493,7 @@ def test_classify_charges_the_cell_walk_to_the_budget(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "resource budget exceeded: Voronoi cell walk: 3! vertex steps "
-        "exceed the work budget 12 (10 units spent before)\n")
+        "exceed the work budget 12 (8 units spent before)\n")
 
 
 def test_classify_walks_k8_within_a_small_budget(tmp_path, capsys):

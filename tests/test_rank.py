@@ -229,11 +229,16 @@ def test_charged_sample_count_is_the_default_plan(corpus, skew56_lattice):
     for L, ex in cases:
         count = len(default_divisor_samples(L, ex))
         searches = 2 * count * ex.class_count
-        with node_budget(searches):
+        # the plan is checked against what the block has left, and
+        # nothing is spent: the searches charge their own nodes
+        with node_budget(searches + 5) as meter:
+            meter.spent = 5
             assert _charge_samples(L, ex, None) is None
+            assert meter.spent == 5
         with pytest.raises(BudgetExceeded, match="^sample check: %d coset "
                            "searches for %d samples" % (searches, count)), \
-                node_budget(searches - 1):
+                node_budget(searches + 4) as meter:
+            meter.spent = 5
             _charge_samples(L, ex, None)
 
 
