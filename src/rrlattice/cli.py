@@ -6,7 +6,8 @@ order, as plain text by default or as byte-deterministic JSON with
 verification fails (rank-method disagreement, a failed identity check, a
 reduction mismatch), 2 on usage or resource errors.  Each command runs in
 one node_budget block of ``--budget`` units, so the budget bounds the
-command's work as a whole.
+command's work as a whole; it is the only budget, and under ``rank`` and
+``verify-rr`` it also counts each divisor the brute-force rank tests.
 
 Input formats:
 
@@ -103,7 +104,7 @@ def _lattice_and_extremal(args):
 def _cmd_rank(args):
     L, extremal = _lattice_and_extremal(args)
     D = _parse_int_vector(args.divisor, dim=L.dim)
-    brute = rank_bruteforce(L, D, budget=args.rank_budget)
+    brute = rank_bruteforce(L, D)
     ext = rank_extremal(L, D, extremal)
     agree = ext.rank == brute.rank
     payload = {"divisor": list(D), "degree": degree(D),
@@ -178,8 +179,7 @@ def _cmd_verify_rr(args):
     L, extremal = _lattice_and_extremal(args)
     K = canonical_point(extremal, L)
     verify = verify_riemann_roch if extremal.uniform else verify_weak_rr
-    report = verify(L, extremal, K, seed=args.seed, method=args.method,
-                    budget=args.rank_budget)
+    report = verify(L, extremal, K, seed=args.seed, method=args.method)
     lines = ["checked %d divisors" % report["checked"]]
     if "genus" in report:
         lines.append("g = %d" % report["genus"])
@@ -311,9 +311,6 @@ def build_parser():
                        "with an agreement check")
     _add_common(p, either=True)
     p.add_argument("--divisor", required=True, metavar='"a b c"')
-    p.add_argument("--rank-budget", type=int, default=24,
-                   help="largest divisor degree the brute-force search "
-                        "will enumerate")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("genus", help="g_min, g_max and uniformity")
@@ -337,7 +334,6 @@ def build_parser():
     _add_common(p, either=True)
     p.add_argument("--method", choices=("extremal", "bruteforce", "both"),
                    default="extremal")
-    p.add_argument("--rank-budget", type=int, default=24)
     p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.set_defaults(func=_cmd_verify_rr)
 

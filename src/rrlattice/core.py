@@ -33,9 +33,10 @@ class node_budget:
 
     Every unit of work the library charges (a search node, a vertex
     order, a cell-walk vertex step, a class test or reflection reduction,
-    an HNF row operation) counts against the innermost
-    active block, and the charge that passes its budget raises
-    BudgetExceeded naming the work, the units spent and the budget.  A
+    an HNF row operation, a divisor that rank_bruteforce tests) counts
+    against the innermost active block, and the charge that passes its
+    budget raises BudgetExceeded naming the work, the units spent and the
+    budget.  A
     block opened inside another gets the smaller of n and what the outer
     block has left, and its units count against the outer block too.
 
@@ -173,9 +174,8 @@ def _hnf_rows(rows):
 
     Returns (hnf, pivot_cols).  hnf has one row per pivot, pivots are
     positive, entries above a pivot are reduced into [0, pivot), so two
-    matrices with the same row lattice get the same hnf.  Each batch of
-    row operations is charged, one unit per row, before it is made (see
-    node_budget).
+    matrices with the same row lattice get the same hnf.  Each row
+    operation is charged, one unit, before it is made (see node_budget).
     """
     meter = _meter()
     m = [list(r) for r in rows]
@@ -208,16 +208,15 @@ def _hnf_rows(rows):
         rank += 1
         if rank == nrows:
             break
-    # second pass, top down: reduce entries above each pivot into
-    # [0, pivot); row r leaves the columns of earlier pivots alone
-    for r in range(rank):
-        col = pivots[r]
-        piv = m[r][col]
-        qs = [m[i][col] // piv for i in range(r)]
-        _charge("HNF row operations", r - qs.count(0), meter)
-        for i, q in enumerate(qs):
+    # second pass, bottom up: reduce row i's entries at the later pivots
+    # into [0, pivot) against the already reduced rows below it; row j is
+    # zero before pivot j, so each step keeps the ones before it
+    for i in range(rank - 2, -1, -1):
+        for j in range(i + 1, rank):
+            q = m[i][pivots[j]] // m[j][pivots[j]]
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                _charge("HNF row operations", 1, meter)
+                m[i] = [x - q * y for x, y in zip(m[i], m[j])]
     return [tuple(r) for r in m[:rank]], pivots
 
 
@@ -418,30 +417,27 @@ class LatticeBasis:
     # Because the HNF is in row echelon form the value at pivot column i
     # depends only on c_0..c_i, so each level walks one interval of
     # multiples of row i.  The objective sets the intervals: "box" takes
-    # them from fixed per-coordinate bounds (find_effective_in_coset on an
-    # integer base, iter_coset_in_bounds for the rational enumerations of
-    # geometry.py), "l1" and "max" from the incumbent's value (coset_min_l1
-    # and coset_min_max_coord).
+    # them from fixed per-coordinate bounds (find_effective_in_coset, and
+    # iter_coset_in_bounds for the enumerations of geometry.py), "l1" and
+    # "max" from the incumbent's value (coset_min_l1 and
+    # coset_min_max_coord).
 
     def iter_coset_in_bounds(self, base, lower, upper):
         """All vectors base + (integer combo of rows) inside given bounds.
 
-        lower/upper are per-coordinate inclusive bounds (ints, Fractions or
-        None for unbounded).  Each pivot column's bounds prune its level of
-        the walk, and the free coordinate's, as the sum fixes it, the last.
-        The vectors come in increasing lexicographic order.  A generator
-        holds no node_budget block across its yields: the walk draws on
-        the block active when it starts, or on a default one of its own.
+        base is a divisor (see as_divisor); lower/upper are per-coordinate
+        inclusive bounds, finite rationals (see as_point), so the vectors,
+        integers, lie between their ceilings and floors.  Each pivot
+        column's bounds prune its level of the walk, and the free
+        coordinate's, as the sum fixes it, the last.  The vectors come in
+        increasing lexicographic order.  A generator holds no node_budget
+        block across its yields: the walk draws on the block active when
+        it starts, or on a default one of its own.
         """
-        # walk den * (base + L) over the integers, divide once per vector
-        den = math.lcm(*(t.denominator for t in base))
-        num = tuple(int(t * den) for t in base)
-        lo = [None if t is None else math.ceil(t * den) for t in lower]
-        hi = [None if t is None else math.floor(t * den) for t in upper]
-        if None in lo[:self.n] or None in hi[:self.n]:
-            raise ValueError("pivot coordinate bounds must be finite")
-        for v in self._branch_and_bound(num, den, (lo, hi), "box"):
-            yield v if den == 1 else tuple(Fraction(x, den) for x in v)
+        base = as_divisor(base, self.dim)
+        lo = [math.ceil(t) for t in as_point(lower, self.dim)]
+        hi = [math.floor(t) for t in as_point(upper, self.dim)]
+        yield from self._branch_and_bound(base, 1, (lo, hi), "box")
 
     def find_effective_in_coset(self, base):
         """The lexicographically least vector >= 0 congruent to base, or None.
@@ -486,9 +482,9 @@ class LatticeBasis:
         arrive in strictly increasing lexicographic order.
 
         "box": cap is a pair (lower, upper) of per-coordinate integer
-        bound lists; those of the last (free) coordinate may be None.  v
-        fixes it to R - v at the last level, which walks only the v that
-        keep it inside them.  Yields every point inside the box.
+        bound lists, and scale must be 1.  v fixes the last (free)
+        coordinate to R - v at the last level, which walks only the v that
+        keep it inside its bounds.  Yields every point inside the box.
 
         "l1" (the sum of |v_i|) and "max" (the largest coordinate; base
         must then sum to zero): yields (value, point) for points of value
@@ -504,8 +500,7 @@ class LatticeBasis:
 
         The pivots and row tails the walk steps by are built once per
         lattice, in __init__; only a walk with scale != 1 (the rational
-        bases of coset_min_max_coord and iter_coset_in_bounds) scales a
-        copy of them.
+        bases of coset_min_max_coord) scales a copy of them.
 
         The walk reads what the active node_budget block has left (see
         _meter) when it starts and after each yield, counts its nodes in a
@@ -555,8 +550,8 @@ class LatticeBasis:
                 vlo = los[i]
                 vhi = his[i]
                 if i + 1 == n:  # v fixes the free coordinate R - v
-                    vlo = vlo if fhi is None else max(vlo, R - fhi)
-                    vhi = vhi if flo is None else min(vhi, R - flo)
+                    vlo = max(vlo, R - fhi)
+                    vhi = min(vhi, R - flo)
             else:
                 if acc > bound:
                     i -= 1

@@ -364,23 +364,22 @@ def _resolve_q_rows(L: LatticeBasis, extremal: ExtremalSet):
     return None
 
 
-def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
-                          q_rows=None):
+def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet):
     """Critical points that are vertices of the origin's Voronoi cell.
 
     Read off the simplicial decomposition induced by the zero-sum
-    generator family q_rows: every order of the generators spans a
-    simplex of partial sums, and when the order's min-vector is extremal
-    its critical point belongs to the cells of exactly those partial
-    sums.  Collecting the translates by the negated partial sums yields
-    the vertices incident to the origin.  A direct metric test (every
-    critical translate at distance exactly h from the origin) would be
-    wrong here: a lattice point can be tight on a facet shared with a
-    partial sum without the simplex being incident to the origin.  The
-    walk runs in integers on the vertices scaled by k = dim, over the
-    rooted orders only (a rotated order spans the same vertices), charges
-    its k! vertex steps to the active node_budget block before it starts,
-    and divides by k once at the end.
+    generator family q_rows (see _resolve_q_rows): every order of the
+    generators spans a simplex of partial sums, and when the order's
+    min-vector is extremal its critical point belongs to the cells of
+    exactly those partial sums.  Collecting the translates by the negated
+    partial sums yields the vertices incident to the origin.  A direct
+    metric test (every critical translate at distance exactly h from the
+    origin) would be wrong here: a lattice point can be tight on a facet
+    shared with a partial sum without the simplex being incident to the
+    origin.  The walk runs in integers on the vertices scaled by k = dim,
+    over the rooted orders only (a rotated order spans the same vertices),
+    charges its k! vertex steps to the active node_budget block before it
+    starts, and divides by k once at the end.
 
     The classes must be L's extremal classes, as the library's builders
     return them; criticality is not re-checked.  A class that no order
@@ -388,12 +387,10 @@ def voronoi_cell_vertices(L: LatticeBasis, extremal: ExtremalSet,
     ValueError naming it; a non-extremal class that an order reaches (a
     digraph's order vector can be one) adds its vertices unnoticed.
     """
+    q_rows = _resolve_q_rows(L, extremal)
     if q_rows is None:
-        q_rows = _resolve_q_rows(L, extremal)
-    if q_rows is None:
-        raise ValueError(
-            "no generator family available; supply q_rows for rank > 2 scans"
-        )
+        raise ValueError("no generator family available for rank > 2 "
+                         "scans without q_rows")
     return frozenset(tuple(Fraction(x, L.dim) for x in v)
                      for v in _cell_walk(L, extremal, q_rows))
 

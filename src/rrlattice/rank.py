@@ -31,15 +31,16 @@ down to r, the rank.  Level r holds C(r + n, n) divisors, but its scan
 stops once their witnesses cover the |Pic| classes of degree deg(D) - r:
 one test on an index-1 lattice, and 325 of 1,820 for K5 with
 D = (4, 4, 4, 3, 3).  No prefix has a bound short of its whole level, so
-the work can still grow exponentially with the rank, under a cap on
-deg(D).
+the work can still grow exponentially with the rank, and each test is
+charged to the work budget, cached or not.
 rank_extremal's work grows with the number of extremal classes, which is
 large on dense graphs; it stops at the first class that shows the rank
 is -1.
 
 Each rank, and each verifier with all its ranks, runs in one node_budget
-block (see core.node_budget): its coset walks draw on one work budget,
-the default one unless the caller opened a block.
+block (see core.node_budget): its coset walks and rank_bruteforce's
+tests draw on one work budget, the default one unless the caller opened
+a block.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Optional
 
 from .core import (BudgetExceeded, LatticeBasis, _charge, as_divisor, deg_plus,
                    degree, node_budget)
-from .extremal import ExtremalSet, reflection_pairing
+from .extremal import ExtremalSet, _basis, reflection_pairing
 
 __all__ = [
     "RankResult",
@@ -133,7 +134,7 @@ def _compositions(total, parts):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-def rank_bruteforce(L: LatticeBasis, D, budget=24):
+def rank_bruteforce(L: LatticeBasis, D, budget=None):
     """Rank straight from the definition.
 
     Call a degree s full when every effective E of degree s leaves
@@ -153,23 +154,30 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24):
     L.picard_cardinality(), every class of degree deg(D) - s holds an
     effective divisor and every E left in the level passes.  The exit
     changes neither the rank nor the witness, which comes from the level
-    above.  budget caps deg(D), which drives the combinatorial blowup;
-    a larger degree raises BudgetExceeded rather than returning a wrong
-    value.  The coset walks share one node_budget block.
+    above.  Each E tested is one unit of the node_budget block the coset
+    walks share, cached or not: a level counts its tests in a local,
+    charges once the count passes what the block had left at its start,
+    and charges the count at its end, as _branch_and_bound does with its
+    nodes.  budget, when given, also caps deg(D) (BudgetExceeded above
+    it); no library function passes one, and it stays for callers that do.
     """
     D = as_divisor(D, L.dim)
     d = degree(D)
-    if d > budget:
+    if budget is not None and d > budget:
         raise BudgetExceeded(
             "rank_bruteforce: degree %d exceeds budget %d" % (d, budget)
         )
     rD = L.reduce(D)
     classes = L.picard_cardinality()
     witness = (0,) * (L.dim - 1) + (max(d + 1, 0),)
-    with node_budget():
+    with node_budget() as meter:
         for s in range(d, -1, -1):
             covered = set()
+            left, tests = meter.budget - meter.spent, 0
             for E in _compositions(s, L.dim):
+                tests += 1
+                if tests > left:
+                    _charge("rank_bruteforce: %d tests" % tests, tests, meter)
                 ok, found = linear_system_nonempty(L, tuple(map(sub, rD, E)))
                 if not ok:
                     witness = E
@@ -177,6 +185,7 @@ def rank_bruteforce(L: LatticeBasis, D, budget=24):
                 covered.add(found)
                 if len(covered) == classes:
                     break
+            _charge("rank_bruteforce tests", tests, meter)
             if ok:  # no gap: the level was covered or scanned to its end
                 return RankResult(rank=s, witness=witness,
                                   method="bruteforce")
@@ -202,8 +211,11 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet):
     The loop stops at the first class with best == 0: deg_plus is never
     negative, so the rank is then -1, and the positive part of any vector
     with deg_plus 0 is the zero vector, so no later class changes the
-    rank or the witness.  The searches share one node_budget block.
+    rank or the witness.  The searches share one node_budget block.  L
+    may be any basis of extremal.lattice; another lattice raises
+    ValueError.
     """
+    L = _basis(extremal, L)
     D = as_divisor(D, L.dim)
     if not extremal.classes:
         raise ValueError("extremal set has no classes")
@@ -228,22 +240,21 @@ def rank_extremal(L: LatticeBasis, D, extremal: ExtremalSet):
     return RankResult(rank=best - 1, witness=witness, method="extremal")
 
 
-def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet,
-                            seed=0, random_count=_RANDOM_SAMPLES):
+def default_divisor_samples(L: LatticeBasis, extremal: ExtremalSet, seed=0):
     """Deterministic divisor sample set for the verifiers.
 
     Every divisor class of degree 0 through 2g - 2 contributes its
     canonical representative, covering the band where the rank is
-    sensitive to the lattice; random_count further divisors are drawn with
-    degrees in [-g, 3g] to exercise both trivial regimes.  g is the upper
-    genus for non-uniform lattices.
+    sensitive to the lattice; _RANDOM_SAMPLES further divisors are drawn
+    with degrees in [-g, 3g] to exercise both trivial regimes.  g is the
+    upper genus for non-uniform lattices.
     """
     g = extremal.g_max
     samples = []
     for d in range(0, max(2 * g - 1, 1)):
         samples.extend(L.class_representatives(d))
     rng = random.Random(seed)
-    for _ in range(random_count):
+    for _ in range(_RANDOM_SAMPLES):
         d = rng.randint(-g, 3 * g)
         body = [rng.randint(-g, g) for _ in range(L.dim - 1)]
         body.append(d - sum(body))
@@ -274,7 +285,7 @@ def _charge_samples(L, extremal, D_samples):
     return D_samples
 
 
-def _check_samples(L, extremal, K, D_samples, seed, method, budget, violation):
+def _check_samples(L, extremal, K, D_samples, seed, method, violation):
     """Run violation(D, rank(D), rank(K - D)) over the sample divisors.
 
     D_samples defaults to default_divisor_samples.  method is "extremal",
@@ -296,7 +307,7 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget, violation):
         for E in (D, tuple(k - x for k, x in zip(K, D))):
             found = []  # bruteforce first under "both"
             if method != "extremal":
-                found.append(rank_bruteforce(L, E, budget).rank)
+                found.append(rank_bruteforce(L, E).rank)
             if method != "bruteforce":
                 found.append(rank_extremal(L, E, extremal).rank)
             if found[0] != found[-1]:
@@ -315,7 +326,7 @@ def _check_samples(L, extremal, K, D_samples, seed, method, budget, violation):
 
 
 def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
-                        D_samples=None, seed=0, method="extremal", budget=24):
+                        D_samples=None, seed=0, method="extremal"):
     """Check rank(D) - rank(K - D) = degree(D) - g + 1 over a sample set.
 
     Requires a uniform, reflection invariant lattice (the regime where the
@@ -345,7 +356,7 @@ def verify_riemann_roch(L: LatticeBasis, extremal: ExtremalSet, K,
                 "Riemann-Roch equality requires reflection invariance")
         K = as_divisor(K, L.dim)
         checked, violations = _check_samples(L, extremal, K, D_samples, seed,
-                                             method, budget, violation)
+                                             method, violation)
     return {
         "checked": checked,
         "genus": g,
@@ -369,7 +380,7 @@ def _pairing_is_exact(extremal: ExtremalSet, pairing, K):
 
 
 def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
-                   D_samples=None, seed=0, method="extremal", budget=24):
+                   D_samples=None, seed=0, method="extremal"):
     """Check the two-sided rank inequality over a sample set.
 
     For reflection invariant lattices the quantity
@@ -408,7 +419,7 @@ def verify_weak_rr(L: LatticeBasis, extremal: ExtremalSet, K,
         K = as_divisor(K, L.dim)
         exact = _pairing_is_exact(extremal, pairing, K)
         checked, violations = _check_samples(L, extremal, K, D_samples, seed,
-                                             method, budget, violation)
+                                             method, violation)
     return {
         "checked": checked,
         "g_min": g_min,

@@ -83,6 +83,30 @@ def test_no_public_name_takes_a_budget_parameter():
     assert "node_budget" in rrlattice.__all__
 
 
+def test_single_valued_options_are_gone():
+    # the work budget is the only budget of the verifiers; the sample plan
+    # and the Voronoi cell's generator family each have one value
+    for f, name in ((rrlattice.verify_riemann_roch, "budget"),
+                    (rrlattice.verify_weak_rr, "budget"),
+                    (rrlattice.default_divisor_samples, "random_count"),
+                    (rrlattice.voronoi_cell_vertices, "q_rows")):
+        assert name not in inspect.signature(f).parameters, f
+
+
+def test_rank_bruteforce_charges_its_cached_tests():
+    # the first call fills the effectiveness cache; the second makes the
+    # same 4 tests with no coset walk, and the block still counts them
+    L = laplacian_lattice(Multigraph.complete(4))
+    D = (2, 1, 0, 0)
+    first = rank_bruteforce(L, D)
+    with node_budget(4) as meter:
+        assert rank_bruteforce(L, D) == first
+    assert meter.spent == 4
+    with pytest.raises(BudgetExceeded, match="^rank_bruteforce: "), \
+            node_budget(3):
+        rank_bruteforce(L, D)
+
+
 def _outputs():
     """Library answers over a corpus, built from scratch on each call."""
     out = []
@@ -142,11 +166,12 @@ def test_reflection_search_is_charged_before_the_cell_walk(monkeypatch):
 
 def test_hnf_charges_its_row_operations():
     # the path on 40 vertices: one row operation per column in the first
-    # pass, then every row above each pivot in the second
+    # pass; the second, bottom up, clears the -1 above each pivot with one
+    # operation per row, against the rows below it already reduced
     rows = Multigraph.path(40).laplacian_rows()[:-1]
     with node_budget(10**9) as meter:
         L = LatticeBasis(rows)
-    assert meter.spent == 38 + 38 * 39 // 2
+    assert meter.spent == 38 + 38
     with pytest.raises(BudgetExceeded, match="^HNF row operations exceed "
                        "the work budget %d " % (meter.spent - 1)), \
             node_budget(meter.spent - 1):

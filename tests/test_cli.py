@@ -457,18 +457,42 @@ def test_graph_orders_are_refused_before_the_lattice_is_built(tmp_path,
 
 
 def test_picard_charges_the_hnf_to_the_budget(tmp_path, capsys):
-    # the same path: its HNF makes about 500,000 row operations, and those
-    # of the first pass and the first pivots of the second spend the budget
+    # the same path: its HNF makes 998 row operations in each pass, so the
+    # first pass fits --budget 1000 and the second does not
     path = tmp_path / "path1000.json"
     path.write_text(json.dumps(
         {"vertices": 1000, "edges": [[i, i + 1, 1] for i in range(999)]}))
     start = time.perf_counter()
-    code = main(["picard", "--graph", str(path), "--budget", "10000"])
+    code = main(["picard", "--graph", str(path), "--budget", "1000"])
     assert time.perf_counter() - start < 2
     assert code == 2
     assert capsys.readouterr().err == (
         "resource budget exceeded: HNF row operations exceed the work "
-        "budget 10000 (9909 units spent before)\n")
+        "budget 1000 (1000 units spent before)\n")
+    start = time.perf_counter()
+    code = main(["picard", "--graph", str(path)])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert capsys.readouterr().out.startswith("|Pic| = 1\n")
+
+
+def test_rank_answers_any_degree_under_the_work_budget(tmp_path, capsys):
+    # the A_8 root lattice has index 1, so rank_bruteforce's level of
+    # degree 30 is covered by its first test; no degree cap applies
+    path = tmp_path / "a8.txt"
+    path.write_text("9\n" + "".join(
+        " ".join(str(int(j == i) - int(j == i + 1)) for j in range(9)) + "\n"
+        for i in range(8)))
+    cmd = ["rank", "--lattice", str(path), "--divisor", "30 0 0 0 0 0 0 0 0"]
+    code, out = run(capsys, *cmd, "--budget", "100000")
+    assert code == 0
+    assert out.startswith("r(D) = 30  (degree 30)\n")
+    # --budget is the only budget: the degree cap's option is gone
+    for argv in (cmd, ["verify-rr", "--lattice", str(path)]):
+        code = main(argv + ["--rank-budget", "40"])
+        err = capsys.readouterr().err
+        assert code == 2 and "unrecognized arguments: --rank-budget" in err
+        assert "Traceback" not in err
 
 
 def test_extremals_list_representatives_only(files, capsys):

@@ -316,8 +316,9 @@ def test_voronoi_cell_rejects_a_family_that_is_not_tight(k3_lattice,
                                                          k3_extremal):
     # lattice vectors with zero column sums, but not Laplacian rows
     q_rows = ((2, -1, -1), (2, -1, -1), (-4, 2, 2))
+    stray = dataclasses.replace(k3_extremal, q_rows=q_rows)
     with pytest.raises(ValueError, match=r"not tight .* class \(-1, 1, 0\)"):
-        voronoi_cell_vertices(k3_lattice, k3_extremal, q_rows=q_rows)
+        voronoi_cell_vertices(k3_lattice, stray)
 
 
 def test_every_extremal_class_is_critical(corpus, l2_lattice):

@@ -148,14 +148,12 @@ def test_weak_rr_on_nonuniform_digraph():
 
 
 def test_default_samples_deterministic(m322_lattice, m322_extremal):
-    a = default_divisor_samples(m322_lattice, m322_extremal, seed=5,
-                                random_count=60)
-    b = default_divisor_samples(m322_lattice, m322_extremal, seed=5,
-                                random_count=60)
+    a = default_divisor_samples(m322_lattice, m322_extremal, seed=5)
+    b = default_divisor_samples(m322_lattice, m322_extremal, seed=5)
     assert a == b
-    assert len(a) >= 200
-    c = default_divisor_samples(m322_lattice, m322_extremal, seed=6,
-                                random_count=60)
+    # the 16 classes of each degree 0 .. 8, then 50 random divisors
+    assert len(a) == 16 * 9 + 50
+    c = default_divisor_samples(m322_lattice, m322_extremal, seed=6)
     assert a != c
 
 
@@ -338,6 +336,20 @@ def test_rank_extremal_of_negative_degree_makes_no_search(monkeypatch):
         r = rank_extremal(L, D, ex)
         assert (r.rank, r.witness, r.method) == (-1, (0, 0, 0, 0), "extremal")
     assert calls == []
+
+
+def test_rank_extremal_refuses_another_lattices_extremal_set():
+    # K3's one class on the path's lattice would give rank 0; the path's
+    # own rank of (1, 0, 0) is 1
+    L = laplacian_lattice(Multigraph.path(3))
+    assert rank_bruteforce(L, (1, 0, 0)).rank == 1
+    with pytest.raises(ValueError, match="does not belong"):
+        rank_extremal(L, (1, 0, 0),
+                      extremal_set_graphical(Multigraph.complete(3)))
+    # another basis of the same lattice is accepted
+    ex = extremal_set_graphical(Multigraph.path(3))
+    other = LatticeBasis([(1, -1, 0), (1, 0, -1)])
+    assert rank_extremal(other, (1, 0, 0), ex).rank == 1
 
 
 def test_rank_extremal_within_node_budget():
@@ -527,7 +539,7 @@ def _root_lattice(n):
 def test_rank_bruteforce_answers_a8_from_one_test(monkeypatch):
     # Pic of A_8 is trivial, so the first divisor tested in level 24 covers
     # it; without the exit the level's C(32, 8) = 10,518,300 compositions
-    # are all tested, none of them charged to a budget
+    # are all tested, each one a unit of the work budget
     L = _root_lattice(8)
     assert L.picard_cardinality() == 1
     tested = _spy_on_tests(monkeypatch)
